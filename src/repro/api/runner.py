@@ -15,15 +15,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.api.backends import (
-    fallback_chain,
-    get_backend,
-    recoverable_backend_errors,
-    require_capable,
-    select_backend,
-)
+from repro.api.backends import get_backend, require_capable, select_backend
 from repro.api.serialize import dumps, write_json
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.utils.tables import format_table
@@ -138,14 +132,6 @@ class RunResult:
         return f"{self.mean_delay:.5g} ({self.backend})"
 
 
-def _single_run(backend, spec: ExperimentSpec, seed: Optional[int]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    metrics = backend.run_once(spec, seed)
-    if "mean_delay" not in metrics:
-        raise SpecError(f"backend {backend.name!r} returned no 'mean_delay' metric")
-    extras = {key: value for key, value in metrics.items() if key != "mean_delay"}
-    return metrics, extras
-
-
 def run(
     spec: Union[ExperimentSpec, str, Mapping[str, Any]],
     backend: str = "auto",
@@ -226,96 +212,54 @@ def run(
         raise SpecError(f"replications must be >= 1, got {replications!r}")
 
     started = time.perf_counter()
-    recoverable = recoverable_backend_errors()
-    degradations: list = []
-    tried = {engine.name}
-    while True:
-        try:
-            return _execute(
-                engine,
-                spec,
-                replications=wanted,
-                workers=workers,
-                confidence=confidence,
-                target_relative_half_width=target_relative_half_width,
-                max_replications=max_replications,
-                pool=pool,
-                started=started,
-                degradations=degradations,
-            )
-        except recoverable as error:
-            if not fallback:
-                raise
-            chain = fallback_chain(spec, exclude=tried)
-            if not chain:
-                raise
-            degradations.append(
-                {"backend": engine.name, "error": f"{type(error).__name__}: {error}"}
-            )
-            engine = chain[0]
-            tried.add(engine.name)
-
-
-def _execute(
-    engine,
-    spec: ExperimentSpec,
-    replications: int,
-    workers: int,
-    confidence: float,
-    target_relative_half_width: Optional[float],
-    max_replications: int,
-    pool,
-    started: float,
-    degradations,
-) -> RunResult:
-    """One attempt on one engine; raises the engine's typed failures."""
-    base_seed = spec.seed
     adaptive = target_relative_half_width is not None
+    single = wanted == 1 and not adaptive
+    degraded_first: Tuple[Mapping[str, Any], ...] = ()
+    if engine.capabilities.deterministic or single:
+        # Late import: avoids an import cycle.
+        from repro.ensemble.runner import RECORD_KEYS, execute_replication
 
-    from repro.ensemble.results import provenance  # late: avoids an import cycle
-
-    def result_provenance() -> Dict[str, Any]:
-        payload = dict(provenance())
-        if degradations:
-            payload["degraded"] = [dict(entry) for entry in degradations]
-        return payload
-
-    def degraded_extras(extras: Dict[str, Any]) -> Dict[str, Any]:
-        if degradations:
-            # Mirror the headline fact into the extras so a table render
-            # (`repro-lb run`) shows the degradation without JSON spelunking.
-            extras["degraded_from"] = ",".join(entry["backend"] for entry in degradations)
-        return extras
-
-    if engine.capabilities.deterministic or (replications == 1 and not adaptive):
-        metrics, extras = _single_run(engine, spec, base_seed)
-        return RunResult(
-            spec=spec,
-            backend=engine.name,
-            answer=engine.capabilities.answer,
-            mean_delay=float(metrics["mean_delay"]),
-            half_width=float("nan"),
-            confidence=confidence,
-            replications=1,
-            extras=degraded_extras(extras),
-            records=(dict(metrics),),
-            provenance=result_provenance(),
-            wall_seconds=time.perf_counter() - started,
-        )
+        record = execute_replication(engine.name, spec, spec.seed, fallback=fallback)
+        engine = get_backend(record.get("backend", engine.name))
+        if engine.capabilities.deterministic or single:
+            metrics = {key: value for key, value in record.items() if key not in RECORD_KEYS}
+            if "mean_delay" not in metrics:
+                raise SpecError(f"backend {engine.name!r} returned no 'mean_delay' metric")
+            return _result(
+                spec,
+                engine,
+                mean_delay=float(metrics["mean_delay"]),
+                half_width=float("nan"),
+                confidence=confidence,
+                extras={key: value for key, value in metrics.items() if key != "mean_delay"},
+                records=(metrics,),
+                degradations=_degradations([record]),
+                started=started,
+            )
+        # A deterministic backend that degraded to a stochastic one goes on
+        # to the replications the caller asked for.  The fallback run above
+        # used the spec seed, not a replication's child seed, so it is only
+        # kept for its degradation trail: this rare path costs one extra
+        # replication.
+        degraded_first = (record,)
 
     from repro.ensemble.runner import EnsembleConfig, run_ensemble
 
     config = EnsembleConfig(
         spec=spec,
         backend=engine.name,
-        replications=replications if not adaptive else max(replications, 2),
+        replications=wanted if not adaptive else max(wanted, 2),
         workers=workers,
-        seed=base_seed,
+        seed=spec.seed,
         confidence=confidence,
         target_relative_half_width=target_relative_half_width,
         max_replications=max_replications,
     )
-    ensemble = run_ensemble(config=config, pool=pool)
+    ensemble = run_ensemble(config=config, pool=pool, fallback=fallback)
+    ran = {record.get("backend", engine.name) for record in ensemble.records}
+    if len(ran) == 1:
+        # Every replication degraded to the same backend: report that one.
+        engine = get_backend(ran.pop())
     statistics = ensemble.delay
     extras = {
         metric: ensemble.statistics(metric).mean
@@ -327,16 +271,58 @@ def _execute(
     for key in ensemble.TEXT_KEYS:
         if key in ensemble.records[0]:
             extras[key] = ensemble.records[0][key]
+    return _result(
+        spec,
+        engine,
+        mean_delay=statistics.mean,
+        half_width=statistics.half_width,
+        confidence=confidence,
+        extras=extras,
+        records=tuple(dict(record) for record in ensemble.records),
+        degradations=_degradations([*degraded_first, *ensemble.records]),
+        started=started,
+    )
+
+
+def _degradations(records) -> List[Dict[str, str]]:
+    """The distinct ``{"backend", "error"}`` fallback entries of ``records``."""
+    entries: List[Dict[str, str]] = []
+    for record in records:
+        for entry in record.get("degraded", ()):
+            if entry not in entries:
+                entries.append(dict(entry))
+    return entries
+
+
+def _result(
+    spec: ExperimentSpec,
+    engine,
+    mean_delay: float,
+    half_width: float,
+    confidence: float,
+    extras: Dict[str, Any],
+    records: Tuple[Mapping[str, Any], ...],
+    degradations: List[Dict[str, str]],
+    started: float,
+) -> RunResult:
+    from repro.ensemble.results import provenance  # late: avoids an import cycle
+
+    payload = dict(provenance())
+    if degradations:
+        payload["degraded"] = degradations
+        # Mirror the headline fact into the extras so a table render
+        # (`repro-lb run`) shows the degradation without JSON spelunking.
+        extras["degraded_from"] = ",".join(entry["backend"] for entry in degradations)
     return RunResult(
         spec=spec,
         backend=engine.name,
         answer=engine.capabilities.answer,
-        mean_delay=statistics.mean,
-        half_width=statistics.half_width,
+        mean_delay=mean_delay,
+        half_width=half_width,
         confidence=confidence,
-        replications=ensemble.replications,
-        extras=degraded_extras(extras),
-        records=tuple(dict(record) for record in ensemble.records),
-        provenance=result_provenance(),
+        replications=len(records),
+        extras=extras,
+        records=records,
+        provenance=payload,
         wall_seconds=time.perf_counter() - started,
     )

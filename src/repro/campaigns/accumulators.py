@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.ensemble.runner import RECORD_KEYS, EnsembleResult
 from repro.ensemble.stats import t_half_width
 from repro.utils.validation import ValidationError, check_positive
 
@@ -35,15 +36,10 @@ __all__ = ["PointAccumulator", "StreamingMoments"]
 #: Record keys that are bookkeeping or wall-clock noise, never metrics.
 NON_METRIC_KEYS = frozenset(
     {
-        "replication",
-        "seed",
-        "wall_seconds",
-        "events_per_second",
-        "kernel",
+        *RECORD_KEYS,
+        *EnsembleResult.TIMING_KEYS,
+        *EnsembleResult.TEXT_KEYS,
         "spec",
-        "backend",
-        "kind",
-        "parameters",
         "labels",
         "point",
         "campaign",

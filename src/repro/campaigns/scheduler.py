@@ -52,9 +52,17 @@ from repro.api.spec import SpecError
 from repro.campaigns.accumulators import PointAccumulator
 from repro.campaigns.manifest import CampaignManifest, grid_digest, grid_to_dict
 from repro.campaigns.queue import TaskQueue
-from repro.campaigns.worker import MSG_BYE, MSG_CLAIM, MSG_DONE, execute_task, worker_loop
+from repro.campaigns.worker import MSG_BYE, MSG_CLAIM, MSG_DONE, run_task, worker_loop
 from repro.faults import maybe_fire
-from repro.ensemble.grid import GridConfig, PointTask, point_digest, point_seed, point_tasks, task_id_for
+from repro.ensemble.grid import (
+    GridConfig,
+    PointTask,
+    execute_task,
+    point_digest,
+    point_seed,
+    point_tasks,
+    task_id_for,
+)
 from repro.ensemble.results import ResultStore, provenance, repair_jsonl
 from repro.ensemble.runner import DEFAULT_BATCH_SIZE
 from repro.utils.tables import format_table
@@ -492,7 +500,10 @@ class _Campaign:
                 raise CampaignError(
                     "campaign wedged: nothing runnable but points not retired"
                 )
-            self._handle_done(task_id, execute_task(self._task_for(task_id)))
+            # The worker lifecycle, fault sites included, in this process.
+            # A session leases each task once, so this is its attempt 0.
+            record = run_task(self._task_for(task_id), 0, execute=execute_task)
+            self._handle_done(task_id, record)
 
     def _drive_pool(self, max_tasks: Optional[int]) -> None:
         context = multiprocessing.get_context()

@@ -2,11 +2,9 @@
 
 A worker is a plain ``multiprocessing.Process`` running
 :func:`worker_loop`: it pulls ``(PointTask, attempt)`` items from its inbox,
-executes each replication through the registered backend (exactly the code
-path :mod:`repro.ensemble.runner` uses, so a campaign record is bitwise
-identical to an ensemble record of the same seed), and reports ``claim`` /
-``done`` messages on the shared outbox.  The ``claim`` message doubles as
-the heartbeat: the scheduler stamps the lease deadline from it.
+runs each through :func:`run_task` and reports ``claim`` / ``done`` messages
+on the shared outbox.  The ``claim`` message doubles as the heartbeat: the
+scheduler stamps the lease deadline from it.
 
 Workers receive only picklable plain data (frozen specs, integer seeds) and
 never open the journal or the record store — all durable writes go through
@@ -19,43 +17,33 @@ and is reported, then the worker says ``bye`` and exits cleanly.  The
 scheduler releases any leases a departed worker still held, so a Ctrl-C'd
 campaign resumes without losing (or double-counting) work.
 
-**Fault injection.**  Three hook sites bracket the task lifecycle —
-``worker.claim`` (after dequeue, before the claim message), ``worker.task``
-(before the simulation) and ``worker.done`` (after the simulation, before
-the completion message).  Hook keys are attempt-stamped
-(``"<task_id>#<attempt>"``), so a chaos plan can kill the first attempt of
-a task deterministically while letting its retry through — fault budgets
-(``times=``) live in per-process memory and do not survive the respawn.
+**Task lifecycle and fault injection.**  :func:`run_task` is the one task
+lifecycle, shared by :func:`worker_loop` and the scheduler's inline
+(``workers=1``) driver.  Three hook sites bracket it — ``worker.claim``
+(after dequeue, before the claim), ``worker.task`` (before the simulation)
+and ``worker.done`` (after the simulation, before the completion report).
+Hook keys are attempt-stamped (``"<task_id>#<attempt>"``), so a chaos plan
+can kill the first attempt of a task deterministically while letting its
+retry through — fault budgets (``times=``) live in per-process memory and
+do not survive the respawn.
 
-**Backend degradation.**  :func:`execute_task` walks the same fallback
-chain as :func:`repro.api.runner.run`: a typed runtime failure (never a
-``SpecError``) degrades to the next capable estimator backend, and the
-record carries ``degraded_from`` so the ensemble JSONL preserves what
+**Backend degradation.**  :func:`~repro.ensemble.grid.execute_task` runs
+the replication through :func:`repro.ensemble.runner.execute_replication`,
+which walks the backend fallback chain; a degraded record carries
+``backend`` and ``degraded_from`` so the JSONL store preserves what
 actually ran.
-
-Test hooks (environment variables, inert in production):
-
-``REPRO_CAMPAIGN_TASK_DELAY``
-    Float seconds slept before each task — widens the window an
-    interruption test needs to land a SIGKILL mid-sweep.
-``REPRO_CAMPAIGN_CRASH_AFTER`` / ``REPRO_CAMPAIGN_CRASH_WORKER``
-    Makes the matching worker (default ``"w0"``) SIGKILL itself after
-    executing N tasks — *after* the simulation but *before* reporting, the
-    worst-case window the lease-reclaim machinery must cover.
 """
 
 from __future__ import annotations
 
-import os
 import queue as queue_module
 import signal
-import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
-from repro.ensemble.grid import PointTask
+from repro.ensemble.grid import PointTask, execute_task
 from repro.faults import installed_from_env, maybe_fire
 
-__all__ = ["execute_task", "worker_loop"]
+__all__ = ["execute_task", "run_task", "worker_loop"]
 
 #: Outbox message kinds (tuples keep the queue payloads picklable and tiny).
 MSG_CLAIM = "claim"
@@ -63,54 +51,27 @@ MSG_DONE = "done"
 MSG_BYE = "bye"
 
 
-def execute_task(task: PointTask) -> Dict[str, Any]:
-    """Run one replication task; returns the plain replication record.
+def run_task(
+    task: PointTask,
+    attempt: int,
+    execute: Callable[[PointTask], Dict[str, Any]] = execute_task,
+    claim: Optional[Callable[[], None]] = None,
+) -> Dict[str, Any]:
+    """One task's lifecycle: claim, execute, return the record to report.
 
-    Identical record shape to
-    :func:`repro.ensemble.runner._execute_replication` — replication index,
-    derived seed, every scalar metric, wall seconds — plus the task's content
-    address, so the record can be routed back to its grid point by readers
-    that only see the JSONL store.
-
-    When the task's backend raises a recoverable runtime failure (the QBD
-    bound model turning unstable, a linear solve breaking down) the task
-    degrades along :func:`repro.api.backends.fallback_chain`; the record
-    then carries the backend that actually produced it plus a
-    ``degraded_from`` trail.
+    ``claim`` announces the task (a worker posts its claim message; the
+    inline driver has already leased it and passes nothing).  ``execute``
+    is the replication executor the caller resolves, so a wrapper patched
+    onto the caller's module sees every task.
     """
-    from repro.api.backends import fallback_chain, get_backend, recoverable_backend_errors
-
-    started = time.perf_counter()
-    engine = get_backend(task.backend)
-    recoverable = recoverable_backend_errors()
-    degraded = []
-    while True:
-        try:
-            metrics = engine.run_once(task.spec, task.seed)
-            break
-        except recoverable:
-            chain = fallback_chain(task.spec, exclude={engine.name, *degraded})
-            if not chain:
-                raise
-            degraded.append(engine.name)
-            engine = chain[0]
-    record: Dict[str, Any] = {"replication": task.replication, "seed": task.seed}
-    record.update(metrics)
-    if degraded:
-        record["backend"] = engine.name
-        record["degraded_from"] = ",".join(degraded)
-    record["wall_seconds"] = time.perf_counter() - started
+    fault_key = f"{task.task_id}#{attempt}"
+    maybe_fire("worker.claim", key=fault_key)
+    if claim is not None:
+        claim()
+    maybe_fire("worker.task", key=fault_key)
+    record = execute(task)
+    maybe_fire("worker.done", key=fault_key)
     return record
-
-
-def _test_hooks(worker_id: str):
-    """Resolve the crash/delay test hooks once per worker."""
-    delay = float(os.environ.get("REPRO_CAMPAIGN_TASK_DELAY", "0") or 0)
-    crash_after: Optional[int] = None
-    raw = os.environ.get("REPRO_CAMPAIGN_CRASH_AFTER")
-    if raw and worker_id == os.environ.get("REPRO_CAMPAIGN_CRASH_WORKER", "w0"):
-        crash_after = int(raw)
-    return delay, crash_after
 
 
 def worker_loop(worker_id: str, inbox, outbox) -> None:
@@ -138,8 +99,6 @@ def worker_loop(worker_id: str, inbox, outbox) -> None:
     signal.signal(signal.SIGTERM, request_stop)
     signal.signal(signal.SIGINT, request_stop)
 
-    delay, crash_after = _test_hooks(worker_id)
-    executed = 0
     while True:
         if stopping:
             # Graceful exit: the task in flight (if any) already completed
@@ -155,16 +114,7 @@ def worker_loop(worker_id: str, inbox, outbox) -> None:
             outbox.put((MSG_BYE, worker_id))
             return
         task, attempt = item
-        fault_key = f"{task.task_id}#{attempt}"
-        maybe_fire("worker.claim", key=fault_key)
-        outbox.put((MSG_CLAIM, worker_id, task.task_id))
-        if delay:
-            time.sleep(delay)
-        maybe_fire("worker.task", key=fault_key)
-        record = execute_task(task)
-        executed += 1
-        if crash_after is not None and executed >= crash_after:
-            # Die the hard way, mid-window: work done, completion unreported.
-            os.kill(os.getpid(), signal.SIGKILL)
-        maybe_fire("worker.done", key=fault_key)
+        record = run_task(
+            task, attempt, claim=lambda: outbox.put((MSG_CLAIM, worker_id, task.task_id))
+        )
         outbox.put((MSG_DONE, worker_id, task.task_id, record))

@@ -41,9 +41,9 @@ from repro.ensemble.results import (
     repair_jsonl,
 )
 from repro.ensemble.runner import (
-    SIMULATION_KINDS,
     EnsembleConfig,
     EnsembleResult,
+    execute_replication,
     run_ensemble,
 )
 from repro.ensemble.stats import (
@@ -55,9 +55,9 @@ from repro.ensemble.stats import (
 )
 
 __all__ = [
-    "SIMULATION_KINDS",
     "EnsembleConfig",
     "EnsembleResult",
+    "execute_replication",
     "run_ensemble",
     "GridConfig",
     "GridPoint",

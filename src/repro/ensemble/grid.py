@@ -29,12 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.spec import ExperimentSpec, HorizonSpec, ScenarioSpec, SpecError, SystemSpec, WorkloadSpec
-from repro.ensemble.runner import (
-    EnsembleConfig,
-    EnsembleResult,
-    _execute_replication,
-    worker_pool,
-)
+from repro.ensemble.runner import EnsembleConfig, EnsembleResult, execute_replication, worker_pool
 from repro.utils.seeding import spawn_seeds
 from repro.utils.tables import format_table
 from repro.utils.validation import ValidationError, check_integer
@@ -44,6 +39,7 @@ __all__ = [
     "GridPoint",
     "GridResult",
     "PointTask",
+    "execute_task",
     "point_digest",
     "point_seed",
     "point_tasks",
@@ -341,10 +337,6 @@ def point_seed(grid_seed: Optional[int], labels: Mapping[str, Any]) -> Optional[
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-# Backwards-compatible alias (pre-campaign callers imported the private name).
-_point_seed = point_seed
-
-
 @dataclass(frozen=True)
 class PointTask:
     """One ``(grid point, replication)`` work unit — the campaign task atom.
@@ -363,9 +355,19 @@ class PointTask:
     replication: int
     labels: Mapping[str, Any]
 
-    def runner_task(self) -> Tuple[str, ExperimentSpec, Optional[int], int]:
-        """The tuple shape :func:`~repro.ensemble.runner._execute_replication` takes."""
-        return (self.backend, self.spec, self.seed, self.replication)
+
+def execute_task(task: PointTask) -> Dict[str, Any]:
+    """Run one grid task through :func:`~repro.ensemble.runner.execute_replication`.
+
+    The record is the executor's: replication index, derived seed, every
+    scalar metric and the wall seconds, plus the degradation keys when the
+    task's backend fell back to another, stochastic, one.  It does not carry the task
+    id; callers that persist it (the campaign scheduler) add the point's
+    content address themselves.
+    """
+    return execute_replication(
+        task.backend, task.spec, task.seed, task.replication, replicable_only=True
+    )
 
 
 def task_id_for(digest: str, replication: int) -> str:
@@ -464,13 +466,13 @@ def run_grid(config: GridConfig) -> GridResult:
     for point in points:
         # The same task factory the campaign scheduler shards over a durable
         # queue (repro.campaigns); here the flat list feeds one in-memory pool.
-        tasks.extend(task.runner_task() for task in point_tasks(config, point))
+        tasks.extend(point_tasks(config, point))
 
     with worker_pool(config.workers) as pool:
         if pool is not None:
-            records = list(pool.map(_execute_replication, tasks))
+            records = list(pool.map(execute_task, tasks))
         else:
-            records = [_execute_replication(task) for task in tasks]
+            records = [execute_task(task) for task in tasks]
 
     grid_points: List[GridPoint] = []
     for point_index, point in enumerate(points):

@@ -9,9 +9,10 @@ defensible one ("2.31 ± 0.04 at 95% confidence over 8 replications") — the
 form in which a finite-``N`` estimate can be compared against the paper's
 bounds and the mean-field limit.
 
-Since PR 3 the configuration is an :class:`repro.api.spec.ExperimentSpec`
-plus a backend name; the pre-spec ``(kind, parameters)`` dialect keeps
-working through :mod:`repro.api.compat` with a ``DeprecationWarning``.
+The configuration is an :class:`repro.api.spec.ExperimentSpec` plus a
+backend name.  :func:`execute_replication` runs one replication; it is the
+package's only replication executor (ensembles, sweep grids, campaigns and
+:func:`repro.run` all call it) and owns the only backend-fallback loop.
 
 Determinism is a hard contract here, not a convenience:
 
@@ -33,12 +34,16 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import time
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.backends import get_backend, require_capable, select_backend
-from repro.api.compat import LEGACY_KINDS, kind_from_spec, spec_from_kind
+from repro.api.backends import (
+    fallback_chain,
+    get_backend,
+    recoverable_backend_errors,
+    require_capable,
+    select_backend,
+)
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.ensemble.stats import ReplicationStatistics
 from repro.utils.seeding import spawn_seeds
@@ -46,9 +51,10 @@ from repro.utils.tables import format_table
 from repro.utils.validation import ValidationError, check_integer, check_positive
 
 __all__ = [
-    "SIMULATION_KINDS",
     "EnsembleConfig",
     "EnsembleResult",
+    "RECORD_KEYS",
+    "execute_replication",
     "run_ensemble",
     "worker_pool",
 ]
@@ -58,20 +64,62 @@ __all__ = [
 #: not depend on the machine's core count.
 DEFAULT_BATCH_SIZE = 4
 
-#: The legacy simulation kinds (deprecated spelling of the backends).
-SIMULATION_KINDS: Tuple[str, ...] = tuple(sorted(LEGACY_KINDS))
+#: Every key :func:`execute_replication` puts around a backend's metrics:
+#: bookkeeping, wall-clock time and, for a degraded replication, the trail.
+RECORD_KEYS = ("replication", "seed", "wall_seconds", "backend", "degraded_from", "degraded")
 
 
 # --------------------------------------------------------------------- #
-# Worker side: one replication = (backend, spec, seed) -> metrics dict
+# Worker side: one replication = (backend, spec, seed) -> record dict
 # --------------------------------------------------------------------- #
-def _execute_replication(task: Tuple[str, ExperimentSpec, int, int]) -> Dict[str, Any]:
-    """Run one replication in a worker process; returns a plain record dict."""
-    backend_name, spec, seed, index = task
+def execute_replication(
+    backend: str,
+    spec: ExperimentSpec,
+    seed: Optional[int],
+    replication: int = 0,
+    fallback: bool = True,
+    replicable_only: bool = False,
+) -> Dict[str, Any]:
+    """Run one replication; returns its plain record dict.
+
+    The record holds the replication index, the seed, every metric the
+    backend reports (delays in units of ``1/mu``) and the wall-clock
+    seconds.  It is a function of plain data only, so it runs unchanged
+    inline, in a ``multiprocessing`` pool or in a campaign worker.
+
+    When the backend raises a recoverable runtime failure (see
+    :func:`repro.api.backends.recoverable_backend_errors`) and ``fallback``
+    is on, the replication degrades along
+    :func:`repro.api.backends.fallback_chain`.  The record then also names
+    the ``backend`` that produced it, the ``degraded_from`` backends
+    (comma-joined) and the ``degraded`` trail of ``{"backend", "error"}``
+    entries.  A :class:`~repro.api.spec.SpecError` never falls back.
+    ``replicable_only`` skips deterministic backends in the chain: one
+    replication of an ensemble, grid point or campaign must stay a
+    replication, not a copy of one deterministic answer.
+    """
     started = time.perf_counter()
-    metrics = get_backend(backend_name).run_once(spec, seed)
-    record: Dict[str, Any] = {"replication": index, "seed": seed}
+    engine = get_backend(backend)
+    degraded: List[Dict[str, str]] = []
+    while True:
+        try:
+            metrics = engine.run_once(spec, seed)
+            break
+        except recoverable_backend_errors() as error:
+            tried = {engine.name, *(entry["backend"] for entry in degraded)}
+            chain = fallback_chain(spec, exclude=tried) if fallback else []
+            if replicable_only:
+                chain = [option for option in chain if not option.capabilities.deterministic]
+            if not chain:
+                raise
+            degraded.append({"backend": engine.name, "error": f"{type(error).__name__}: {error}"})
+            engine = chain[0]
+    record: Dict[str, Any] = {"replication": replication, "seed": seed}
     record.update(metrics)
+    if degraded:
+        record["backend"] = engine.name
+        record["degraded_from"] = ",".join(entry["backend"] for entry in degraded)
+        record["degraded"] = degraded
     record["wall_seconds"] = time.perf_counter() - started
     return record
 
@@ -86,21 +134,10 @@ class EnsembleConfig:
     Parameters
     ----------
     spec : ExperimentSpec
-        The experiment to replicate (the canonical configuration since
-        PR 3).
+        The experiment to replicate.
     backend : str, optional
         A registered stochastic backend (``"ctmc"``, ``"cluster"``,
         ``"fleet"``); defaults to the cheapest capable one for the spec.
-    kind : str, optional
-        *Deprecated* — the pre-spec simulator name (``"fleet"``,
-        ``"gillespie"``, ``"cluster"``, ``"scenario"``).  Converted to a
-        spec internally and kept as a read-only legacy view.
-    parameters : mapping, optional
-        *Deprecated* — raw keyword arguments of the legacy dialect,
-        *without* ``seed``.  Populated as a legacy view even for
-        spec-built configs, so old call-sites keep reading it; ``kind`` is
-        ``None`` (and ``parameters`` empty) when the spec is not
-        legacy-expressible, e.g. with a non-default workload.
     replications : int
         Number of replications to run (the *initial* batch when
         ``target_relative_half_width`` is set).
@@ -124,8 +161,8 @@ class EnsembleConfig:
         stopping trajectory is machine-independent.
     """
 
-    kind: Optional[str] = None
-    parameters: Mapping[str, Any] = field(default_factory=dict)
+    spec: Optional[ExperimentSpec] = None
+    backend: Optional[str] = None
     replications: int = 8
     workers: int = 1
     seed: Optional[int] = 12345
@@ -133,40 +170,14 @@ class EnsembleConfig:
     target_relative_half_width: Optional[float] = None
     max_replications: int = 64
     batch_size: int = DEFAULT_BATCH_SIZE
-    spec: Optional[ExperimentSpec] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.spec is None:
-            if self.kind is None:
-                raise SpecError(
-                    "EnsembleConfig needs spec=ExperimentSpec(...) "
-                    "(or the deprecated kind=/parameters= pair)"
-                )
-            warnings.warn(
-                "EnsembleConfig(kind=..., parameters=...) is deprecated; "
-                "pass spec=ExperimentSpec(...) (and optionally backend=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            spec, backend = spec_from_kind(
-                self.kind, self.parameters, seed=self.seed if self.seed is not None else 12345
-            )
-            object.__setattr__(self, "spec", spec)
-            object.__setattr__(self, "backend", backend)
+        if not isinstance(self.spec, ExperimentSpec):
+            raise SpecError(f"EnsembleConfig needs spec=ExperimentSpec(...), got {self.spec!r}")
+        if self.backend is None:
+            object.__setattr__(self, "backend", select_backend(self.spec, replicable_only=True).name)
         else:
-            if self.kind is not None:
-                raise SpecError("pass either spec= or the deprecated kind=, not both")
-            if self.backend is None:
-                object.__setattr__(
-                    self, "backend", select_backend(self.spec, replicable_only=True).name
-                )
-            else:
-                require_capable(self.backend, self.spec)
-            # Keep the legacy view readable for pre-spec call-sites.
-            kind, parameters = kind_from_spec(self.spec, self.backend)
-            object.__setattr__(self, "kind", kind)
-            object.__setattr__(self, "parameters", parameters)
+            require_capable(self.backend, self.spec)
         if get_backend(self.backend).capabilities.deterministic:
             raise SpecError(
                 f"backend {self.backend!r} is deterministic — replicating it is "
@@ -222,9 +233,14 @@ class EnsembleResult:
     TEXT_KEYS = ("kernel",)
 
     def metric_names(self) -> List[str]:
-        """The scalar metrics shared by every record."""
-        reserved = {"replication", "seed", *self.TEXT_KEYS}
-        return [key for key in self.records[0] if key not in reserved]
+        """The scalar metrics shared by every record (wall-clock ones too;
+        callers skip those through :attr:`TIMING_KEYS`)."""
+        reserved = {*RECORD_KEYS, *self.TEXT_KEYS} - set(self.TIMING_KEYS)
+        return [
+            key
+            for key in self.records[0]
+            if key not in reserved and all(key in record for record in self.records)
+        ]
 
     def simulation_records(self) -> List[Dict[str, Any]]:
         """Records with wall-clock keys stripped — the bitwise-reproducible
@@ -301,22 +317,22 @@ def worker_pool(workers: int):
 
 
 def _run_batch(
-    config: EnsembleConfig, start: int, count: int, pool
+    config: EnsembleConfig, start: int, count: int, pool, fallback: bool
 ) -> List[Dict[str, Any]]:
     """Execute replications ``start .. start + count - 1`` (ordered)."""
     seeds = spawn_seeds(config.seed, count, start=start)
     tasks = [
-        (config.backend, config.spec, seed, start + offset)
+        (config.backend, config.spec, seed, start + offset, fallback, True)
         for offset, seed in enumerate(seeds)
     ]
     if pool is None:
-        return [_execute_replication(task) for task in tasks]
-    return list(pool.map(_execute_replication, tasks))
+        return [execute_replication(*task) for task in tasks]
+    return list(pool.starmap(execute_replication, tasks))
 
 
 def run_ensemble(
-    kind: Optional[str] = None,
-    parameters: Optional[Mapping[str, Any]] = None,
+    spec: Optional[ExperimentSpec] = None,
+    backend: Optional[str] = None,
     replications: int = 8,
     workers: int = 1,
     seed: Optional[int] = 12345,
@@ -326,21 +342,16 @@ def run_ensemble(
     batch_size: int = DEFAULT_BATCH_SIZE,
     config: Optional[EnsembleConfig] = None,
     pool=None,
-    spec: Optional[ExperimentSpec] = None,
-    backend: Optional[str] = None,
+    fallback: bool = True,
 ) -> EnsembleResult:
     """Run ``K`` independent replications of one experiment, in parallel.
 
     Parameters
     ----------
     spec : ExperimentSpec, optional
-        The experiment to replicate — the canonical input.
+        The experiment to replicate (required unless ``config`` is given).
     backend : str, optional
         Stochastic backend name; auto-selected from the spec if omitted.
-    kind, parameters :
-        *Deprecated* legacy dialect (``"fleet"`` / ``"gillespie"`` /
-        ``"cluster"`` / ``"scenario"`` plus a raw keyword dict); converted
-        to a spec internally with a ``DeprecationWarning``.
     replications, workers, seed, confidence, target_relative_half_width, \
 max_replications, batch_size :
         See :class:`EnsembleConfig`.  Ignored when ``config`` is given.
@@ -353,6 +364,11 @@ max_replications, batch_size :
         recorded, not acted on.  This lets a sweep over many ensembles —
         the figure harnesses, the scale study — pay pool start-up once
         instead of once per point.
+    fallback : bool
+        Passed to :func:`execute_replication`: a replication whose backend
+        hits a recoverable runtime failure degrades to the next capable
+        stochastic backend (default), or re-raises the failure when
+        ``False``.
 
     Returns
     -------
@@ -378,11 +394,7 @@ max_replications, batch_size :
     4
     """
     if config is None:
-        if spec is not None and kind is not None:
-            raise SpecError("pass either spec= or the deprecated kind=, not both")
         config = EnsembleConfig(
-            kind=kind,
-            parameters=dict(parameters or {}),
             spec=spec,
             backend=backend,
             replications=replications,
@@ -398,7 +410,7 @@ max_replications, batch_size :
     try:
         if pool is None and config.workers > 1:
             pool = owned_pool = multiprocessing.Pool(processes=config.workers)
-        records = _run_batch(config, 0, config.replications, pool)
+        records = _run_batch(config, 0, config.replications, pool, fallback)
         if config.target_relative_half_width is not None:
             while len(records) < config.max_replications:
                 statistics = ReplicationStatistics.from_samples(
@@ -408,7 +420,7 @@ max_replications, batch_size :
                 if statistics.precision_reached(config.target_relative_half_width):
                     break
                 count = min(config.batch_size, config.max_replications - len(records))
-                records.extend(_run_batch(config, len(records), count, pool))
+                records.extend(_run_batch(config, len(records), count, pool, fallback))
     finally:
         if owned_pool is not None:
             owned_pool.close()

@@ -24,7 +24,8 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.manifest import CampaignManifest
-from repro.ensemble.grid import GridConfig
+from repro.ensemble.grid import GridConfig, point_digest
+from repro.faults import FaultPlan, FaultSpec, clear, install
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -102,7 +103,11 @@ class TestSigkillResume:
         victim_dir = tmp_path / "victim"
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
-        env["REPRO_CAMPAIGN_TASK_DELAY"] = "0.15"  # widen the kill window
+        # Widen the kill window: the inline driver runs the worker task
+        # lifecycle, so a stall at worker.task slows every task down.
+        env["REPRO_FAULT_PLAN"] = FaultPlan(faults=[
+            FaultSpec(site="worker.task", kind="stall", seconds=0.15, times=None)
+        ]).to_json()
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "campaign", "run",
@@ -117,7 +122,7 @@ class TestSigkillResume:
         records = victim_dir / "records.jsonl"
         deadline = time.time() + 60.0
         # Wait until at least one record is durably on disk, then SIGKILL
-        # mid-sweep — with the per-task delay the scheduler is overwhelmingly
+        # mid-sweep — with the per-task stall the scheduler is overwhelmingly
         # likely to be holding leases and half-written state right now.
         while time.time() < deadline:
             if records.exists() and records.stat().st_size > 0:
@@ -139,30 +144,25 @@ class TestSigkillResume:
         assert campaign_fingerprint(victim_dir) == campaign_fingerprint(clean_dir)
 
     def test_worker_crash_is_reclaimed_and_result_identical(self, tmp_path):
-        """A worker SIGKILLs itself after its first task — after simulating,
-        before reporting (the worst-case window).  The scheduler must reclaim
-        the lease, respawn, finish, and still match the clean run."""
+        """A worker SIGKILLs itself on one task — after simulating, before
+        reporting (the worst-case window).  The scheduler must reclaim the
+        lease, respawn, finish, and still match the clean run."""
         clean_dir = tmp_path / "clean"
         run_campaign(grid=small_grid(replications=4), directory=clean_dir)
 
         crash_dir = tmp_path / "crash"
-        old = {
-            key: os.environ.get(key)
-            for key in ("REPRO_CAMPAIGN_CRASH_AFTER", "REPRO_CAMPAIGN_CRASH_WORKER")
-        }
-        os.environ["REPRO_CAMPAIGN_CRASH_AFTER"] = "1"
-        os.environ["REPRO_CAMPAIGN_CRASH_WORKER"] = "w0"
+        grid = small_grid(replications=4, workers=2)
+        victim = point_digest(grid.points()[0]["labels"])
+        install(FaultPlan(faults=[
+            FaultSpec(site="worker.done", kind="crash", match=f"{victim}:0#0")
+        ]))
         try:
-            result = run_campaign(
-                grid=small_grid(replications=4, workers=2), directory=crash_dir
-            )
+            result = run_campaign(grid=grid, directory=crash_dir)
         finally:
-            for key, value in old.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+            clear()
         assert result.complete
+        journal = (crash_dir / "journal.jsonl").read_text(encoding="utf-8")
+        assert '"release"' in journal  # the crash struck and its lease was reclaimed
         assert campaign_fingerprint(crash_dir) == campaign_fingerprint(clean_dir)
 
 

@@ -201,7 +201,7 @@ class TestEnsembleCommand:
         assert "wrote 3 replication records" in capsys.readouterr().out
         records = [json_module.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == 3
-        assert records[0]["parameters"]["num_servers"] == 100
+        assert records[0]["spec"]["system"]["num_servers"] == 100
 
     def test_single_replication_reports_missing_ci_not_a_verdict(self, capsys):
         exit_code = main(

@@ -1,10 +1,8 @@
-"""Regression tests: the pre-spec ensemble dialect keeps working.
+"""Regression tests: stores and configs from before the spec API still work.
 
-PR 3 rebuilt the ensemble runner on ``ExperimentSpec`` + backend names.
-These tests pin the compatibility contract: old ``(kind, parameters)``
-call-sites keep producing bitwise-identical results (now with a
-``DeprecationWarning``), the legacy view stays readable on configs built
-either way, and JSONL stores written before the redesign still load.
+Ensemble JSONL stores written before ``ExperimentSpec`` existed still load,
+every new record carries its full ``spec``, and the spec-built ensemble
+configuration rejects what can never be replicated.
 """
 
 import json
@@ -12,140 +10,18 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.api.compat import kind_from_spec, spec_from_kind
 from repro.api.spec import SpecError
 from repro.ensemble.results import ResultStore
 from repro.ensemble.runner import EnsembleConfig, run_ensemble
 
-FLEET_PARAMS = {"num_servers": 80, "utilization": 0.8, "num_events": 8_000}
-
 
 class TestDeprecatedCallSites:
-    def test_run_ensemble_kind_warns_and_works(self):
-        with pytest.deprecated_call():
-            result = run_ensemble("fleet", FLEET_PARAMS, replications=2, seed=4)
-        assert result.replications == 2
-        assert result.delay.mean > 1.0
-
-    def test_ensemble_config_kind_warns_and_works(self):
-        with pytest.deprecated_call():
-            config = EnsembleConfig(kind="fleet", parameters=FLEET_PARAMS, seed=4)
-        assert config.backend == "fleet"
-        assert config.spec.system.num_servers == 80
-
-    def test_every_legacy_kind_converts(self):
-        for kind, parameters, backend in [
-            ("fleet", FLEET_PARAMS, "fleet"),
-            ("gillespie", {"num_servers": 10, "d": 2, "utilization": 0.7}, "ctmc"),
-            ("cluster", {"num_servers": 5, "d": 2, "utilization": 0.7, "num_jobs": 500}, "cluster"),
-            ("scenario", {"scenario": "constant", "num_servers": 50, "d": 2}, "fleet"),
-        ]:
-            spec, chosen = spec_from_kind(kind, parameters)
-            assert chosen == backend, kind
-            assert spec.system.num_servers == parameters["num_servers"]
-
-    def test_legacy_and_spec_paths_are_bitwise_identical(self):
-        with pytest.deprecated_call():
-            legacy = run_ensemble("fleet", FLEET_PARAMS, replications=3, seed=9)
-        modern = run_ensemble(
-            spec=ExperimentSpec.create(seed=9, **FLEET_PARAMS),
-            backend="fleet",
-            replications=3,
-            seed=9,
-        )
-        assert legacy.simulation_records() == modern.simulation_records()
-
-    def test_spec_built_config_exposes_the_legacy_view(self):
-        config = EnsembleConfig(
-            spec=ExperimentSpec.create(num_servers=30, utilization=0.6, num_events=2_000),
-            backend="fleet",
-        )
-        assert config.kind == "fleet"
-        assert config.parameters["num_servers"] == 30
-        # And the view converts back to an equivalent spec.
-        spec, backend = spec_from_kind(config.kind, config.parameters, seed=config.spec.seed)
-        assert backend == "fleet"
-        assert spec.system == config.spec.system
-        assert spec.horizon == config.spec.horizon
-
-    def test_both_dialects_together_rejected(self):
-        spec = ExperimentSpec.create(num_servers=10, utilization=0.5)
-        with pytest.raises(SpecError, match="not both"):
-            EnsembleConfig(kind="fleet", spec=spec)
-        with pytest.raises(SpecError, match="not both"):
-            run_ensemble("fleet", FLEET_PARAMS, spec=spec)
-
-    def test_unknown_kind_still_names_the_kinds(self):
-        with pytest.raises(SpecError, match="kind"):
-            EnsembleConfig(kind="quantum", parameters=FLEET_PARAMS)
-
-    def test_unknown_legacy_parameter_rejected_with_spec_error(self):
-        with pytest.raises(SpecError, match="unknown parameters"):
-            spec_from_kind("fleet", {"num_servers": 10, "utilization": 0.5, "evnts": 1})
-
-    def test_legacy_fleet_mirrors_the_simulator_utilization_default(self):
-        # simulate_fleet defaults to rho=0.9; the old dialect relied on it.
-        spec, _ = spec_from_kind("fleet", {"num_servers": 10})
-        assert spec.system.utilization == 0.9
-
-    def test_seed_forbidden_inside_parameters(self):
-        with pytest.raises(SpecError, match="seed"):
-            spec_from_kind("fleet", {"num_servers": 10, "utilization": 0.5, "seed": 1})
-
     def test_replicating_deterministic_backends_rejected(self):
         with pytest.raises(SpecError, match="deterministic"):
             EnsembleConfig(
                 spec=ExperimentSpec.create(num_servers=5, utilization=0.5),
                 backend="meanfield",
             )
-
-
-class TestKindFromSpec:
-    def test_round_trip_stationary(self):
-        spec = ExperimentSpec.create(
-            num_servers=40, d=3, utilization=0.7, num_events=9_000, policy="jsq", start="empty"
-        )
-        kind, parameters = kind_from_spec(spec, "fleet")
-        assert kind == "fleet"
-        rebuilt, backend = spec_from_kind(kind, parameters, seed=spec.seed)
-        assert backend == "fleet"
-        assert rebuilt == spec
-
-    def test_round_trip_scenario(self):
-        spec = ExperimentSpec.create(
-            num_servers=100, scenario="ramp", scenario_params={"ramp_duration": 5.0}
-        )
-        kind, parameters = kind_from_spec(spec, "fleet")
-        assert kind == "scenario"
-        rebuilt, backend = spec_from_kind(kind, parameters, seed=spec.seed)
-        assert rebuilt == spec and backend == "fleet"
-
-    def test_non_legacy_expressible_specs_have_no_legacy_view(self):
-        # A wrong-but-plausible legacy view would replay a different
-        # experiment; non-default workloads therefore get (None, {}).
-        bursty = ExperimentSpec.create(
-            num_servers=20,
-            utilization=0.8,
-            service="hyperexponential",
-            service_params={"scv": 4.0},
-            num_jobs=500,
-        )
-        assert kind_from_spec(bursty, "cluster") == (None, {})
-        config = EnsembleConfig(spec=bursty, backend="cluster", replications=2)
-        assert config.kind is None and config.parameters == {}
-
-    def test_round_trip_cluster_and_ctmc(self):
-        cluster_spec = ExperimentSpec.create(
-            num_servers=8, utilization=0.6, num_jobs=4_000, warmup_jobs=100
-        )
-        kind, parameters = kind_from_spec(cluster_spec, "cluster")
-        assert kind == "cluster" and parameters["warmup_jobs"] == 100
-        assert spec_from_kind(kind, parameters, seed=cluster_spec.seed)[0] == cluster_spec
-
-        ctmc_spec = ExperimentSpec.create(num_servers=8, utilization=0.6, num_events=4_000)
-        kind, parameters = kind_from_spec(ctmc_spec, "ctmc")
-        assert kind == "gillespie"
-        assert spec_from_kind(kind, parameters, seed=ctmc_spec.seed)[0] == ctmc_spec
 
 
 class TestOldStoresStillLoad:
@@ -167,28 +43,25 @@ class TestOldStoresStillLoad:
         path = tmp_path / "old.jsonl"
         path.write_text(json.dumps(self.OLD_RECORD) + "\n")
         records = ResultStore(path).load()
-        assert len(records) == 1
-        assert records[0]["kind"] == "fleet"
-        assert records[0]["parameters"]["num_servers"] == 50
-        # The legacy pair still converts into a runnable spec.
-        spec, backend = spec_from_kind(records[0]["kind"], records[0]["parameters"])
-        assert backend == "fleet" and spec.system.num_servers == 50
+        assert records == [self.OLD_RECORD]
 
     def test_new_records_carry_both_dialects(self, tmp_path):
+        # A store grown across the spec API holds both dialects: its pre-spec
+        # lines load verbatim beside new records, which carry spec + backend.
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(json.dumps(self.OLD_RECORD) + "\n")
         result = run_ensemble(
             spec=ExperimentSpec.create(num_servers=50, utilization=0.7, num_events=5_000),
             replications=2,
             seed=21,
         )
-        store = ResultStore(tmp_path / "new.jsonl")
+        store = ResultStore(path)
         store.append_ensemble(result)
-        first = store.load()[0]
-        # New keys...
+        old, first, _ = store.load()
+        assert old == self.OLD_RECORD
         assert first["backend"] == "fleet"
         assert first["spec"]["system"]["num_servers"] == 50
-        # ...and the old ones, for pre-spec readers.
-        assert first["kind"] == "fleet"
-        assert first["parameters"]["num_servers"] == 50
+        assert "kind" not in first and "parameters" not in first
         assert ExperimentSpec.from_dict(first["spec"]) == result.config.spec
 
     def test_non_legacy_expressible_records_omit_the_legacy_keys(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import ExperimentSpec
 from repro.ensemble.grid import GridConfig, run_grid
 from repro.ensemble.results import ResultStore, git_describe, provenance, read_jsonl
 from repro.ensemble.runner import run_ensemble
@@ -51,8 +52,8 @@ class TestGrid:
         grid = run_grid(config)
         point = grid.points[0]
         standalone = run_ensemble(
-            "fleet",
-            point.ensemble.config.parameters,
+            spec=point.ensemble.config.spec,
+            backend=point.ensemble.config.backend,
             replications=3,
             seed=point.ensemble.config.seed,
         )
@@ -106,8 +107,7 @@ class TestResultStore:
 
     def test_append_ensemble_persists_every_replication(self, tmp_path):
         result = run_ensemble(
-            "fleet",
-            {"num_servers": 50, "utilization": 0.7, "num_events": 5_000},
+            spec=ExperimentSpec.create(num_servers=50, utilization=0.7, num_events=5_000),
             replications=3,
             seed=21,
         )
@@ -117,8 +117,9 @@ class TestResultStore:
         assert written == 3 and len(records) == 3
         first = records[0]
         # Self-contained: config, seeds, metrics and provenance on every line.
-        assert first["kind"] == "fleet"
-        assert first["parameters"]["num_servers"] == 50
+        assert first["backend"] == "fleet"
+        assert first["spec"]["system"]["num_servers"] == 50
+        assert ExperimentSpec.from_dict(first["spec"]) == result.config.spec
         assert first["ensemble_seed"] == 21
         assert first["seed"] == result.records[0]["seed"]
         assert first["labels"] == {"experiment": "unit-test"}

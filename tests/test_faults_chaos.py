@@ -7,7 +7,7 @@ resilience layer: the surviving results are **bitwise identical** to a
 fault-free twin of the same grid — no record lost, none double-folded.
 
 Also covers the graceful-degradation acceptance paths: backend fallback in
-:func:`repro.run` / :func:`repro.campaigns.worker.execute_task`, quarantine
+:func:`repro.run` / :func:`repro.ensemble.runner.execute_replication`, quarantine
 surfacing in ``campaign status --json``, and clean SIGTERM shutdown of the
 CLI campaign runner.
 """
@@ -33,6 +33,7 @@ from repro.campaigns import (
 from repro.campaigns.worker import execute_task
 from repro.core import UnstableBoundModelError
 from repro.ensemble.grid import GridConfig, PointTask
+from repro.ensemble.runner import run_ensemble
 from repro.faults import FaultPlan, FaultSpec, InjectedCrash, clear, install
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -188,6 +189,17 @@ class TestWorkerDeaths:
         assert journal_events(tmp_path / "camp", "release")
         assert campaign_fingerprint(tmp_path / "camp") == clean_pair["one_point"]
 
+    def test_inline_campaign_fires_worker_sites(self, tmp_path, clean_pair):
+        # A one-worker campaign runs every task in the scheduler process,
+        # through the same task lifecycle as a worker, fault sites included.
+        plan = install(FaultPlan(faults=[
+            FaultSpec(site="worker.task", kind="stall", seconds=0.0, times=None)
+        ]))
+        result = run_campaign(grid=small_grid(), directory=tmp_path / "camp")
+        assert result.complete
+        assert plan.fire_counts().get("worker.task", 0) > 0
+        assert campaign_fingerprint(tmp_path / "camp") == clean_pair["two_points"]
+
     def test_dropped_heartbeats_never_change_results(self, tmp_path, clean_pair):
         plan = install(FaultPlan(faults=[
             FaultSpec(site="scheduler.heartbeat", kind="drop", times=None)
@@ -275,6 +287,39 @@ class TestBackendFallback:
         assert result.extras.get("degraded_from") == "qbd_bounds"
         assert result.mean_delay > 0
 
+    def test_replicated_run_degrades_into_an_estimate(self, unstable_qbd):
+        # The bound backend answers once; its stochastic fallback is asked
+        # for the replications the caller wanted.
+        result = run(self._spec(), backend="qbd_bounds", replications=3)
+        assert result.backend != "qbd_bounds" and result.is_estimate
+        assert result.replications == 3 and len(result.records) == 3
+        assert [entry["backend"] for entry in result.provenance["degraded"]] == ["qbd_bounds"]
+        assert result.extras.get("degraded_from") == "qbd_bounds"
+
+    def test_ensemble_replications_degrade_like_campaign_tasks(self, monkeypatch):
+        def overflow(spec, seed=None):
+            raise ArithmeticError("injected: fleet overflow")
+
+        def untried(spec, seed=None):
+            raise AssertionError("a replication degraded to the deterministic exact solver")
+
+        # At N=3 the exact solver heads the fallback chain; a replication
+        # must skip it, and run() must name the backend that ran.
+        monkeypatch.setattr(get_backend("fleet"), "run_once", overflow)
+        monkeypatch.setattr(get_backend("exact"), "run_once", untried)
+        spec = ExperimentSpec.create(num_servers=3, d=2, utilization=0.8, num_events=2000)
+        ensemble = run_ensemble(spec=spec, backend="fleet", replications=2, seed=5)
+        assert [record["degraded_from"] for record in ensemble.records] == ["fleet", "fleet"]
+        assert {record["backend"] for record in ensemble.records} == {"ctmc"}
+        assert ensemble.delay.mean > 0
+        result = run(spec, backend="fleet", replications=2)
+        assert result.backend == "ctmc" and result.is_estimate
+        assert result.replications == 2
+        assert [entry["backend"] for entry in result.provenance["degraded"]] == ["fleet"]
+        assert result.extras.get("degraded_from") == "fleet"
+        with pytest.raises(ArithmeticError):
+            run(spec, backend="fleet", replications=2, fallback=False)
+
     def test_fallback_false_raises_the_original_error(self, unstable_qbd):
         with pytest.raises(UnstableBoundModelError):
             run(self._spec(), backend="qbd_bounds", fallback=False)
@@ -319,11 +364,12 @@ class TestGracefulShutdown:
         victim = tmp_path / "victim"
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
-        env.pop("REPRO_FAULT_PLAN", None)
-        # The per-task delay applies in pool workers; it widens the window
-        # between the first durable record and campaign completion so the
-        # SIGTERM reliably lands mid-sweep.
-        env["REPRO_CAMPAIGN_TASK_DELAY"] = "0.3"
+        # A stall before every task widens the window between the first
+        # durable record and campaign completion so the SIGTERM reliably
+        # lands mid-sweep.
+        env["REPRO_FAULT_PLAN"] = FaultPlan(faults=[
+            FaultSpec(site="worker.task", kind="stall", seconds=0.3, times=None)
+        ]).to_json()
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "campaign", "run",
