@@ -215,24 +215,30 @@ def run(
     adaptive = target_relative_half_width is not None
     single = wanted == 1 and not adaptive
     degraded_first: Tuple[Mapping[str, Any], ...] = ()
-    if engine.capabilities.deterministic or single:
-        # Late import: avoids an import cycle.
-        from repro.ensemble.runner import RECORD_KEYS, execute_replication
+    # Late import: avoids an import cycle.
+    from repro.ensemble.runner import (
+        EnsembleConfig,
+        execute_replication,
+        run_ensemble,
+        split_record,
+    )
 
+    if engine.capabilities.deterministic or single:
         record = execute_replication(engine.name, spec, spec.seed, fallback=fallback)
         engine = get_backend(record.get("backend", engine.name))
         if engine.capabilities.deterministic or single:
-            metrics = {key: value for key, value in record.items() if key not in RECORD_KEYS}
+            metrics, other = split_record(record)
             if "mean_delay" not in metrics:
                 raise SpecError(f"backend {engine.name!r} returned no 'mean_delay' metric")
+            outputs = {**metrics, **other}
             return _result(
                 spec,
                 engine,
                 mean_delay=float(metrics["mean_delay"]),
                 half_width=float("nan"),
                 confidence=confidence,
-                extras={key: value for key, value in metrics.items() if key != "mean_delay"},
-                records=(metrics,),
+                extras={key: value for key, value in outputs.items() if key != "mean_delay"},
+                records=(outputs,),
                 degradations=_degradations([record]),
                 started=started,
             )
@@ -242,8 +248,6 @@ def run(
         # kept for its degradation trail: this rare path costs one extra
         # replication.
         degraded_first = (record,)
-
-    from repro.ensemble.runner import EnsembleConfig, run_ensemble
 
     config = EnsembleConfig(
         spec=spec,
@@ -264,13 +268,11 @@ def run(
     extras = {
         metric: ensemble.statistics(metric).mean
         for metric in ensemble.metric_names()
-        if metric not in ensemble.TIMING_KEYS and metric != "mean_delay"
+        if metric != "mean_delay"
     }
-    # Textual provenance keys (e.g. the fleet kernel) are identical across
-    # replications; carry the first record's value into the extras.
-    for key in ensemble.TEXT_KEYS:
-        if key in ensemble.records[0]:
-            extras[key] = ensemble.records[0][key]
+    # Outputs that are not metrics (e.g. the fleet kernel) are identical
+    # across replications; carry the first record's into the extras.
+    extras.update(split_record(ensemble.records[0])[1])
     return _result(
         spec,
         engine,

@@ -3,7 +3,7 @@
 ``repro.campaigns`` turns a :class:`~repro.ensemble.grid.GridConfig` into a
 durable on-disk work queue of content-addressed replication tasks, drives it
 with leased worker processes, folds results through constant-memory
-streaming accumulators, and applies the relative-precision stopping rule
+streaming statistics, and applies the relative-precision stopping rule
 *per grid point* — extra replications go where confidence intervals are
 widest, converged points retire early.  A campaign interrupted at any
 instant (including SIGKILL) resumes from its directory and finishes with
@@ -13,7 +13,7 @@ See ``docs/campaigns.md`` for the full story, ``repro-lb campaign --help``
 for the CLI.
 """
 
-from repro.campaigns.accumulators import PointAccumulator, StreamingMoments
+from repro.campaigns.accumulators import PointAccumulator
 from repro.campaigns.manifest import (
     CampaignManifest,
     grid_digest,
@@ -43,7 +43,6 @@ __all__ = [
     "CampaignStatus",
     "PointAccumulator",
     "QueueError",
-    "StreamingMoments",
     "TaskQueue",
     "campaign_fingerprint",
     "campaign_status",

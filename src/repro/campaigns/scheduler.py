@@ -45,9 +45,9 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.api.serialize import jsonl_line
+from repro.api.serialize import jsonable, jsonl_line
 from repro.api.spec import SpecError
 from repro.campaigns.accumulators import PointAccumulator
 from repro.campaigns.manifest import CampaignManifest, grid_digest, grid_to_dict
@@ -64,7 +64,8 @@ from repro.ensemble.grid import (
     task_id_for,
 )
 from repro.ensemble.results import ResultStore, provenance, repair_jsonl
-from repro.ensemble.runner import DEFAULT_BATCH_SIZE
+from repro.ensemble.runner import DEFAULT_BATCH_SIZE, TIMING_KEYS
+from repro.ensemble.stats import next_batch
 from repro.utils.tables import format_table
 from repro.utils.validation import check_integer, check_positive
 
@@ -283,15 +284,85 @@ class _PointState:
         "converged",
     )
 
-    def __init__(self, point: Mapping[str, Any], confidence: float):
+    def __init__(self, point: Mapping[str, Any], grid: GridConfig):
         self.point = point
         self.digest = point_digest(point["labels"])
-        self.seed = None
-        self.allocated = 0
+        self.seed = point_seed(grid.seed, point["labels"])
+        self.allocated = grid.replications  # the initial batch, at least
         self.abandoned = 0  # quarantined replications: allocated, never recorded
-        self.accumulator = PointAccumulator(confidence=confidence)
+        self.accumulator = PointAccumulator(confidence=grid.confidence)
         self.retired = False
         self.converged = False
+
+    @property
+    def settled(self) -> bool:
+        """Every allocated replication is folded or quarantined."""
+        return self.accumulator.count + self.abandoned >= self.allocated
+
+    def decision(self, manifest: CampaignManifest) -> Tuple[bool, int]:
+        """The stopping rule on this point's ``mean_delay`` fold."""
+        return next_batch(
+            self.accumulator.statistics(),
+            self.allocated,
+            manifest.target_relative_half_width,
+            manifest.max_replications,
+            manifest.batch_size,
+        )
+
+    def summary(self, converged: bool) -> CampaignPoint:
+        return CampaignPoint(
+            labels=dict(self.point["labels"]),
+            digest=self.digest,
+            replications=self.accumulator.count,
+            converged=converged,
+            metrics=self.accumulator.summary(),
+        )
+
+
+def _fold_directory(
+    grid: GridConfig,
+    task_queue: TaskQueue,
+    store: ResultStore,
+    on_record: Optional[Callable[[str, Mapping[str, Any]], None]] = None,
+) -> Dict[str, _PointState]:
+    """Per-point state of a campaign directory, in grid order.
+
+    Allocation is the highest journaled replication index + 1, never below
+    the initial batch (tasks are enqueued with contiguous indices).  Records
+    are folded in replication order: they may be out of order (many
+    workers) or duplicated (completion marker lost in a crash), and
+    ``on_record(digest, record)`` sees each fresh one.  Quarantined tasks
+    were allocated but will never produce a record: their fold slots are
+    skipped so the ordered fold advances past the permanent holes, and they
+    count as abandoned.
+    """
+    states: Dict[str, _PointState] = {}
+    for point in grid.points():
+        state = _PointState(point, grid)
+        if state.digest in states:
+            raise CampaignError(f"duplicate grid point digest {state.digest}")
+        states[state.digest] = state
+    for task_id in task_queue.known_ids():
+        digest, _, replication = task_id.rpartition(":")
+        state = states.get(digest)
+        if state is None:
+            raise CampaignError(
+                f"journal task {task_id!r} does not belong to this grid — "
+                "the directory holds a different campaign"
+            )
+        state.allocated = max(state.allocated, int(replication) + 1)
+    for record in store.stream():
+        state = states.get(record.get("point", ""))
+        if state is None:
+            continue
+        if state.accumulator.add(record["replication"], record) and on_record is not None:
+            on_record(state.digest, record)
+    for task_id in task_queue.quarantined_ids():
+        digest, _, replication = task_id.rpartition(":")
+        state = states[digest]
+        state.accumulator.skip(int(replication))
+        state.abandoned += 1
+    return states
 
 
 class _Campaign:
@@ -312,63 +383,20 @@ class _Campaign:
         self.queue = TaskQueue(self.directory / JOURNAL_FILENAME, reclaim_stale=True)
         self.executed = 0
         self.interrupted = False
-        self.states: Dict[str, _PointState] = {}
-        self.order: List[str] = []
-        for point in self.grid.points():
-            state = _PointState(point, self.grid.confidence)
-            state.seed = point_seed(self.grid.seed, point["labels"])
-            if state.digest in self.states:
-                raise CampaignError(f"duplicate grid point digest {state.digest}")
-            self.states[state.digest] = state
-            self.order.append(state.digest)
-        self._restore()
-
-    # -------------------------------------------------------------- #
-    # Durable-state restoration (no-op on a fresh directory)
-    # -------------------------------------------------------------- #
-    def _restore(self) -> None:
-        # Allocation counts: tasks are enqueued with contiguous replication
-        # indices, so allocation = highest known index + 1 per point.
-        for task_id in self.queue.known_ids():
-            digest, _, replication = task_id.rpartition(":")
-            state = self.states.get(digest)
-            if state is None:
-                raise CampaignError(
-                    f"journal task {task_id!r} does not belong to this grid — "
-                    "the directory holds a different campaign"
-                )
-            state.allocated = max(state.allocated, int(replication) + 1)
-        # Seed (or idempotently re-seed) the initial batch everywhere.
-        for digest in self.order:
-            state = self.states[digest]
+        # Restore what is on disk (nothing, in a fresh directory).
+        self.states = _fold_directory(self.grid, self.queue, self.store)
+        for digest in self.states:
+            # Seed (or idempotently re-seed) the initial batch everywhere.
             self.queue.enqueue(
                 task_id_for(digest, index) for index in range(self.grid.replications)
             )
-            state.allocated = max(state.allocated, self.grid.replications)
-        # Fold what is already on disk.  Records may be out of order
-        # (many workers) or duplicated (completion marker lost in a crash);
-        # the ordered accumulator handles both.
-        for record in self.store.stream():
-            state = self.states.get(record.get("point", ""))
-            if state is None:
-                continue
-            state.accumulator.add(record["replication"], record)
-        # Quarantined tasks were allocated but will never produce a record:
-        # skip their fold slots so the ordered accumulator can advance past
-        # the permanent holes, and count them as abandoned per point.
-        for task_id in self.queue.quarantined_ids():
-            digest, _, replication = task_id.rpartition(":")
-            state = self.states.get(digest)
-            if state is not None:
-                state.accumulator.skip(int(replication))
-                state.abandoned += 1
         # Re-run the allocation decisions that completed records imply.  This
         # recovers a crash that landed after the last record of a batch but
         # before the extension was enqueued — and, because decisions are a
         # deterministic function of the (deterministic) record values, it
         # always reproduces exactly the decisions the uninterrupted run took.
-        for digest in self.order:
-            self._decide(self.states[digest])
+        for state in self.states.values():
+            self._decide(state)
 
     # -------------------------------------------------------------- #
     # Task plumbing
@@ -413,31 +441,16 @@ class _Campaign:
         A deterministic function of the folded record values alone — never
         of scheduling order, worker count, or interruption history.
         """
-        if state.retired or state.accumulator.count + state.abandoned < state.allocated:
+        if state.retired or not state.settled:
             return
-        target = self.manifest.target_relative_half_width
-        if target is None:
+        # A poisoned point cannot honestly chase its precision target: retire
+        # it unconverged rather than spend replications papering over a hole
+        # in the sample.
+        converged, count = (False, 0) if state.abandoned else state.decision(self.manifest)
+        if not count:
             state.retired = True
-            state.converged = state.abandoned == 0
+            state.converged = converged
             return
-        if state.abandoned:
-            # A poisoned point cannot honestly chase its precision target:
-            # retire it unconverged rather than spend replications papering
-            # over a hole in the sample.
-            state.retired = True
-            state.converged = False
-            return
-        if state.accumulator.precision_reached(target):
-            state.retired = True
-            state.converged = True
-            return
-        if state.allocated >= self.manifest.max_replications:
-            state.retired = True
-            state.converged = False
-            return
-        count = min(
-            self.manifest.batch_size, self.manifest.max_replications - state.allocated
-        )
         self.queue.enqueue(
             task_id_for(state.digest, state.allocated + index) for index in range(count)
         )
@@ -660,16 +673,7 @@ class _Campaign:
     # Results
     # -------------------------------------------------------------- #
     def result(self, wall_seconds: float) -> CampaignResult:
-        points = tuple(
-            CampaignPoint(
-                labels=dict(self.states[digest].point["labels"]),
-                digest=digest,
-                replications=self.states[digest].accumulator.count,
-                converged=self.states[digest].converged,
-                metrics=self.states[digest].accumulator.summary(),
-            )
-            for digest in self.order
-        )
+        points = tuple(state.summary(state.converged) for state in self.states.values())
         return CampaignResult(
             directory=self.directory,
             grid_digest=self.manifest.grid_digest,
@@ -782,6 +786,18 @@ def _drive_session(
         session.close()
 
 
+def _read_directory(
+    directory: Path, on_record: Optional[Callable[[str, Mapping[str, Any]], None]] = None
+) -> Tuple[CampaignManifest, TaskQueue, Dict[str, _PointState]]:
+    """Read-only :func:`_fold_directory` of a campaign directory."""
+    manifest = CampaignManifest.load(directory)
+    task_queue = TaskQueue(directory / JOURNAL_FILENAME, reclaim_stale=False, read_only=True)
+    store = ResultStore(directory / RECORDS_FILENAME)
+    return manifest, task_queue, _fold_directory(
+        manifest.grid_config(), task_queue, store, on_record=on_record
+    )
+
+
 def campaign_status(directory: Union[str, Path]) -> CampaignStatus:
     """Read-only snapshot: task counts plus per-point progress.
 
@@ -789,57 +805,19 @@ def campaign_status(directory: Union[str, Path]) -> CampaignStatus:
     another process is driving (the snapshot is then merely a little stale).
     """
     directory = Path(directory)
-    manifest = CampaignManifest.load(directory)
-    grid = manifest.grid_config()
-    task_queue = TaskQueue(
-        directory / JOURNAL_FILENAME, reclaim_stale=False, read_only=True
+    manifest, task_queue, states = _read_directory(directory)
+    points = tuple(
+        state.summary(
+            state.settled and not state.abandoned and state.decision(manifest)[0]
+        )
+        for state in states.values()
     )
-    states: Dict[str, _PointState] = {}
-    order: List[str] = []
-    for point in grid.points():
-        state = _PointState(point, grid.confidence)
-        states[state.digest] = state
-        order.append(state.digest)
-    for task_id in task_queue.known_ids():
-        digest, _, replication = task_id.rpartition(":")
-        if digest in states:
-            states[digest].allocated = max(states[digest].allocated, int(replication) + 1)
-    store = ResultStore(directory / RECORDS_FILENAME)
-    for record in store.stream():
-        state = states.get(record.get("point", ""))
-        if state is not None:
-            state.accumulator.add(record["replication"], record)
-    for task_id in task_queue.quarantined_ids():
-        digest, _, replication = task_id.rpartition(":")
-        state = states.get(digest)
-        if state is not None:
-            state.accumulator.skip(int(replication))
-            state.abandoned += 1
-    target = manifest.target_relative_half_width
-    points = []
-    for digest in order:
-        state = states[digest]
-        done = state.accumulator.count + state.abandoned >= state.allocated
-        converged = (
-            done
-            and state.abandoned == 0
-            and (target is None or state.accumulator.precision_reached(target))
-        )
-        points.append(
-            CampaignPoint(
-                labels=dict(state.point["labels"]),
-                digest=digest,
-                replications=state.accumulator.count,
-                converged=converged,
-                metrics=state.accumulator.summary(),
-            )
-        )
     counts = task_queue.counts()
     return CampaignStatus(
         directory=directory,
         grid_digest=manifest.grid_digest,
         counts=counts,
-        points=tuple(points),
+        points=points,
         complete=(
             counts["total"] > 0
             and counts["done"] + counts["quarantined"] == counts["total"]
@@ -858,48 +836,28 @@ def campaign_fingerprint(directory: Union[str, Path]) -> Dict[str, Any]:
     (``"nan"`` never compares equal to itself as a float), so plain ``==``
     works.
     """
-    from repro.api.serialize import jsonable
-    from repro.ensemble.runner import EnsembleResult
-
-    directory = Path(directory)
-    manifest = CampaignManifest.load(directory)
-    grid = manifest.grid_config()
-    accumulators: Dict[str, PointAccumulator] = {}
-    labels: Dict[str, Mapping[str, Any]] = {}
-    order: List[str] = []
-    for point in grid.points():
-        digest = point_digest(point["labels"])
-        accumulators[digest] = PointAccumulator(confidence=grid.confidence)
-        labels[digest] = dict(point["labels"])
-        order.append(digest)
-    noise = set(EnsembleResult.TIMING_KEYS) | {"provenance"}
-    seen = set()
+    noise = {*TIMING_KEYS, "provenance"}
     records: List[Tuple[str, int, str]] = []
-    store = ResultStore(directory / RECORDS_FILENAME)
-    for record in store.stream():
-        digest = record.get("point", "")
-        accumulator = accumulators.get(digest)
-        if accumulator is None:
-            continue
-        replication = int(record["replication"])
-        if (digest, replication) in seen:
-            continue
-        seen.add((digest, replication))
-        accumulator.add(replication, record)
+
+    def keep(digest: str, record: Mapping[str, Any]) -> None:
         core = {key: value for key, value in record.items() if key not in noise}
-        records.append((digest, replication, json.dumps(jsonable(core), sort_keys=True)))
+        records.append(
+            (digest, int(record["replication"]), json.dumps(jsonable(core), sort_keys=True))
+        )
+
+    manifest, _, states = _read_directory(Path(directory), on_record=keep)
     records.sort()
     return {
         "grid": manifest.grid_digest,
         "points": {
             digest: jsonable(
                 {
-                    "labels": labels[digest],
-                    "replications": accumulators[digest].count,
-                    "metrics": accumulators[digest].summary(),
+                    "labels": dict(state.point["labels"]),
+                    "replications": state.accumulator.count,
+                    "metrics": state.accumulator.summary(),
                 }
             )
-            for digest in order
+            for digest, state in states.items()
         },
         "records": [line for _, _, line in records],
     }

@@ -9,8 +9,9 @@ curve either sits inside the interval or it does not):
 
 * :mod:`repro.ensemble.runner` — the ``multiprocessing`` fan-out with
   per-replication seed derivation and a relative-precision stopping rule,
-* :mod:`repro.ensemble.stats` — dependency-light replication statistics
-  (mean, variance, Student-t intervals via the incomplete beta function),
+* :mod:`repro.ensemble.stats` — the streaming replication statistics
+  (Welford mean/variance, Student-t intervals via the incomplete beta
+  function) and the adaptive stopping rule,
 * :mod:`repro.ensemble.grid` — cartesian ``(N, d, rho, scenario)`` sweeps
   scheduled across one shared pool,
 * :mod:`repro.ensemble.results` — an append-only JSONL store persisting
@@ -48,10 +49,10 @@ from repro.ensemble.runner import (
 )
 from repro.ensemble.stats import (
     ReplicationStatistics,
+    next_batch,
     student_t_cdf,
     student_t_quantile,
     summarize,
-    t_half_width,
 )
 
 __all__ = [
@@ -69,10 +70,10 @@ __all__ = [
     "run_grid",
     "task_id_for",
     "ReplicationStatistics",
+    "next_batch",
     "student_t_cdf",
     "student_t_quantile",
     "summarize",
-    "t_half_width",
     "ResultStore",
     "iter_jsonl",
     "read_jsonl",

@@ -35,7 +35,7 @@ import contextlib
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.backends import (
     fallback_chain,
@@ -45,7 +45,7 @@ from repro.api.backends import (
     select_backend,
 )
 from repro.api.spec import ExperimentSpec, SpecError
-from repro.ensemble.stats import ReplicationStatistics
+from repro.ensemble.stats import ReplicationStatistics, next_batch
 from repro.utils.seeding import spawn_seeds
 from repro.utils.tables import format_table
 from repro.utils.validation import ValidationError, check_integer, check_positive
@@ -55,6 +55,7 @@ __all__ = [
     "EnsembleResult",
     "RECORD_KEYS",
     "execute_replication",
+    "split_record",
     "run_ensemble",
     "worker_pool",
 ]
@@ -67,6 +68,38 @@ DEFAULT_BATCH_SIZE = 4
 #: Every key :func:`execute_replication` puts around a backend's metrics:
 #: bookkeeping, wall-clock time and, for a degraded replication, the trail.
 RECORD_KEYS = ("replication", "seed", "wall_seconds", "backend", "degraded_from", "degraded")
+
+#: Record keys derived from wall-clock time rather than the simulation;
+#: everything else in a record is a deterministic function of its inputs.
+TIMING_KEYS = ("wall_seconds", "events_per_second")
+
+#: Keys a stored line wraps around a record: the experiment, its ensemble or
+#: campaign, and provenance.
+CONTEXT_KEYS = ("spec", "labels", "point", "campaign", "ensemble_seed", "confidence", "provenance")
+
+_NOT_OUTPUTS = frozenset((*RECORD_KEYS, *TIMING_KEYS, *CONTEXT_KEYS))
+
+
+def split_record(record: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Split a replication record into its metrics and its other outputs.
+
+    This is the package's one definition of a *metric*: a numeric, non-bool
+    backend output, which replications average.  The other outputs — text
+    such as the fleet kernel, flags such as ``upper_bound_unstable`` — ride
+    along unaveraged.  Bookkeeping (:data:`RECORD_KEYS`), wall-clock
+    (:data:`TIMING_KEYS`) and stored context (:data:`CONTEXT_KEYS`) are in
+    neither.  Both dicts keep the record's values and key order.
+    """
+    metrics: Dict[str, Any] = {}
+    other: Dict[str, Any] = {}
+    for key, value in record.items():
+        if key in _NOT_OUTPUTS:
+            continue
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            metrics[key] = value
+        else:
+            other[key] = value
+    return metrics, other
 
 
 # --------------------------------------------------------------------- #
@@ -150,15 +183,13 @@ class EnsembleConfig:
     confidence : float
         Two-sided confidence level of the reported intervals.
     target_relative_half_width : float or None
-        If set, keep adding ``batch_size``-replication rounds until the CI
-        half-width of ``mean_delay`` falls below this fraction of the mean
-        (or ``max_replications`` is reached) — runs then terminate at a
-        target *precision* instead of a fixed replication count.
+        If set, keep adding rounds of :data:`DEFAULT_BATCH_SIZE`
+        replications until the CI half-width of ``mean_delay`` falls below
+        this fraction of the mean (or ``max_replications`` is reached) —
+        runs then terminate at a target *precision* instead of a fixed
+        replication count (:func:`repro.ensemble.stats.next_batch`).
     max_replications : int
         Hard cap for the adaptive mode.
-    batch_size : int
-        Replications added per adaptive round; fixed by default so the
-        stopping trajectory is machine-independent.
     """
 
     spec: Optional[ExperimentSpec] = None
@@ -169,7 +200,6 @@ class EnsembleConfig:
     confidence: float = 0.95
     target_relative_half_width: Optional[float] = None
     max_replications: int = 64
-    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if not isinstance(self.spec, ExperimentSpec):
@@ -185,7 +215,6 @@ class EnsembleConfig:
             )
         check_integer("replications", self.replications, minimum=1)
         check_integer("workers", self.workers, minimum=1)
-        check_integer("batch_size", self.batch_size, minimum=1)
         if not (0.0 < self.confidence < 1.0):
             raise ValidationError(f"confidence must be in (0, 1), got {self.confidence!r}")
         if self.target_relative_half_width is not None:
@@ -223,31 +252,17 @@ class EnsembleResult:
         """Number of replications actually executed."""
         return len(self.records)
 
-    #: Record keys derived from wall-clock time rather than the simulation;
-    #: everything else is a deterministic function of the configuration.
-    TIMING_KEYS = ("wall_seconds", "events_per_second")
-
-    #: Non-numeric provenance keys a backend may attach to its records
-    #: (e.g. the fleet backend's resolved event kernel).  They ride along in
-    #: the records and JSONL stores but are not averaged like metrics.
-    TEXT_KEYS = ("kernel",)
-
     def metric_names(self) -> List[str]:
-        """The scalar metrics shared by every record (wall-clock ones too;
-        callers skip those through :attr:`TIMING_KEYS`)."""
-        reserved = {*RECORD_KEYS, *self.TEXT_KEYS} - set(self.TIMING_KEYS)
-        return [
-            key
-            for key in self.records[0]
-            if key not in reserved and all(key in record for record in self.records)
-        ]
+        """The metrics (see :func:`split_record`) shared by every record."""
+        metrics, _ = split_record(self.records[0])
+        return [key for key in metrics if all(key in record for record in self.records)]
 
     def simulation_records(self) -> List[Dict[str, Any]]:
         """Records with wall-clock keys stripped — the bitwise-reproducible
         part, which the determinism regression tests compare across runs,
         processes and worker counts."""
         return [
-            {key: value for key, value in record.items() if key not in self.TIMING_KEYS}
+            {key: value for key, value in record.items() if key not in TIMING_KEYS}
             for record in self.records
         ]
 
@@ -260,7 +275,7 @@ class EnsembleResult:
         return [float(record[metric]) for record in self.records]
 
     def statistics(self, metric: str = "mean_delay") -> ReplicationStatistics:
-        """Across-replication statistics of one metric."""
+        """Across-replication statistics of one metric, in replication order."""
         return ReplicationStatistics.from_samples(
             self.samples(metric), confidence=self.config.confidence
         )
@@ -275,8 +290,6 @@ class EnsembleResult:
         headers = ["metric", "mean", f"±{self.config.confidence:.0%} CI", "std", "min", "max"]
         rows = []
         for metric in self.metric_names():
-            if metric in self.TIMING_KEYS:
-                continue  # wall-clock noise, not a simulation output
             statistics = self.statistics(metric)
             rows.append(
                 [
@@ -284,8 +297,8 @@ class EnsembleResult:
                     statistics.mean,
                     statistics.half_width,
                     statistics.std,
-                    min(statistics.samples),
-                    max(statistics.samples),
+                    statistics.minimum,
+                    statistics.maximum,
                 ]
             )
         config = self.config
@@ -339,7 +352,6 @@ def run_ensemble(
     confidence: float = 0.95,
     target_relative_half_width: Optional[float] = None,
     max_replications: int = 64,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     config: Optional[EnsembleConfig] = None,
     pool=None,
     fallback: bool = True,
@@ -353,7 +365,7 @@ def run_ensemble(
     backend : str, optional
         Stochastic backend name; auto-selected from the spec if omitted.
     replications, workers, seed, confidence, target_relative_half_width, \
-max_replications, batch_size :
+max_replications :
         See :class:`EnsembleConfig`.  Ignored when ``config`` is given.
     config : EnsembleConfig, optional
         A pre-built configuration (used by the grid engine so one pool can
@@ -378,7 +390,7 @@ max_replications, batch_size :
     Notes
     -----
     The result is a deterministic function of ``(spec, backend,
-    replications, seed, confidence, target_relative_half_width, batch_size)``
+    replications, seed, confidence, target_relative_half_width)``
     alone — the worker count only changes wall-clock time.
 
     Examples
@@ -403,7 +415,6 @@ max_replications, batch_size :
             confidence=confidence,
             target_relative_half_width=target_relative_half_width,
             max_replications=max_replications,
-            batch_size=batch_size,
         )
     started = time.perf_counter()
     owned_pool = None
@@ -411,16 +422,20 @@ max_replications, batch_size :
         if pool is None and config.workers > 1:
             pool = owned_pool = multiprocessing.Pool(processes=config.workers)
         records = _run_batch(config, 0, config.replications, pool, fallback)
-        if config.target_relative_half_width is not None:
-            while len(records) < config.max_replications:
-                statistics = ReplicationStatistics.from_samples(
-                    [record["mean_delay"] for record in records],
-                    confidence=config.confidence,
-                )
-                if statistics.precision_reached(config.target_relative_half_width):
-                    break
-                count = min(config.batch_size, config.max_replications - len(records))
-                records.extend(_run_batch(config, len(records), count, pool, fallback))
+        statistics = ReplicationStatistics(confidence=config.confidence)
+        while True:
+            for record in records[statistics.count :]:
+                statistics.add(record["mean_delay"])
+            _, count = next_batch(
+                statistics,
+                len(records),
+                config.target_relative_half_width,
+                config.max_replications,
+                DEFAULT_BATCH_SIZE,
+            )
+            if not count:
+                break
+            records.extend(_run_batch(config, len(records), count, pool, fallback))
     finally:
         if owned_pool is not None:
             owned_pool.close()

@@ -9,6 +9,10 @@ analysis; it is what lets a finite-``N`` point estimate be compared
 meaningfully against a mean-field limit curve (inside vs outside the
 interval) instead of eyeballing two bare numbers.
 
+The package has one fold, the streaming :class:`ReplicationStatistics`, and
+one adaptive stopping rule, :func:`next_batch`; ensembles,
+:func:`repro.run` and campaigns all summarize and stop through them.
+
 Everything here is dependency-light — ``math`` only, no scipy.  The Student-t
 quantile is computed by bisecting the exact CDF, itself evaluated through the
 regularized incomplete beta function (Lentz's continued fraction, the
@@ -19,17 +23,16 @@ classical ``betacf`` scheme), accurate to ~1e-10 across all practical
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.utils.validation import ValidationError, check_integer, check_positive
 
 __all__ = [
     "ReplicationStatistics",
+    "next_batch",
     "student_t_cdf",
     "student_t_quantile",
     "summarize",
-    "t_half_width",
 ]
 
 
@@ -151,130 +154,186 @@ def student_t_quantile(confidence: float, df: int) -> float:
     return 0.5 * (low + high)
 
 
-def t_half_width(count: int, variance: float, confidence: float) -> float:
-    """Student-t CI half-width from streaming moments, no sample list needed.
+class ReplicationStatistics:
+    """Across-replication summary of one scalar metric, folded one value at a time.
 
-    This is the moments-form of :attr:`ReplicationStatistics.half_width`:
-    both evaluate ``t* * sqrt(s^2) / sqrt(K)`` in the same operation order,
-    so a streaming accumulator (:mod:`repro.campaigns.accumulators`) and the
-    batch path report identical intervals for identical moments.
+    Welford's update keeps the count, mean, ``M2`` (the sum of squared
+    deviations from the running mean) and the extremes in six slots, so a
+    fold over a million replications costs the same memory as one over two
+    and loses no digits to the cancellation a naive sum of squares suffers.
+    Ensembles, :func:`repro.run` and campaigns all summarize through this
+    class; values folded in the same order give bitwise-equal summaries.
 
     Parameters
     ----------
-    count : int
-        Number of replications ``K``.
-    variance : float
-        Unbiased sample variance (ddof=1) of the replication values.
     confidence : float
-        Two-sided confidence level in (0, 1).
-
-    Returns
-    -------
-    float
-        The half-width; ``nan`` while ``count < 2`` (no variance estimate).
-    """
-    if count < 2 or variance != variance:
-        return float("nan")
-    standard_error = math.sqrt(variance) / math.sqrt(count)
-    return student_t_quantile(confidence, count - 1) * standard_error
-
-
-@dataclass(frozen=True)
-class ReplicationStatistics:
-    """Across-replication summary of one scalar metric.
+        Two-sided confidence level of :attr:`half_width` (default 0.95).
 
     Attributes
     ----------
-    samples : tuple of float
-        One value per independent replication (e.g. each replication's
-        time-average sojourn time, in units of ``1/mu``).
-    confidence : float
-        Two-sided confidence level of :attr:`half_width` (default 0.95).
+    count : int
+        Number of values folded.
+    mean : float
+        Running mean (``0.0`` before the first value).
+    m2 : float
+        Running sum of squared deviations from the mean.
+    minimum, maximum : float
+        Extremes of the folded values (``inf``/``-inf`` before the first).
     """
 
-    samples: Tuple[float, ...]
-    confidence: float = 0.95
+    __slots__ = ("confidence", "count", "mean", "m2", "minimum", "maximum")
 
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValidationError("ReplicationStatistics needs at least one sample")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence!r}")
+    def __init__(self, confidence: float = 0.95) -> None:
+        if not (0.0 < confidence < 1.0):
+            raise ValidationError(f"confidence must be in (0, 1), got {confidence!r}")
+        self.confidence = confidence
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
 
     @classmethod
-    def from_samples(cls, samples: Sequence[float], confidence: float = 0.95) -> "ReplicationStatistics":
-        """Build from any sequence of replication values."""
-        return cls(samples=tuple(float(x) for x in samples), confidence=confidence)
+    def from_samples(cls, samples: Iterable[float], confidence: float = 0.95) -> "ReplicationStatistics":
+        """Fold a sequence of replication values, in order."""
+        statistics = cls(confidence=confidence)
+        for value in samples:
+            statistics.add(value)
+        if not statistics.count:
+            raise ValidationError("ReplicationStatistics needs at least one sample")
+        return statistics
+
+    def add(self, value: float) -> None:
+        """Fold one replication value (Welford's update)."""
+        value = float(value)
+        self.count += 1
+        delta = value - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (value - self.mean)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     @property
     def n(self) -> int:
         """Number of replications."""
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean of the replication values."""
-        return sum(self.samples) / len(self.samples)
+        return self.count
 
     @property
     def variance(self) -> float:
-        """Unbiased sample variance (ddof=1); ``nan`` for a single sample."""
-        if len(self.samples) < 2:
+        """Unbiased sample variance (ddof=1); ``nan`` below two replications."""
+        if self.count < 2:
             return float("nan")
-        mean = self.mean
-        return sum((x - mean) ** 2 for x in self.samples) / (len(self.samples) - 1)
+        return self.m2 / (self.count - 1)
 
     @property
     def std(self) -> float:
-        """Sample standard deviation; ``nan`` for a single sample."""
+        """Sample standard deviation; ``nan`` below two replications."""
         variance = self.variance
         return math.sqrt(variance) if variance == variance else float("nan")
 
     @property
     def standard_error(self) -> float:
         """Standard error of the mean, ``s / sqrt(K)``."""
-        return self.std / math.sqrt(len(self.samples))
+        if self.count < 1:
+            return float("nan")
+        return self.std / math.sqrt(self.count)
 
     @property
     def half_width(self) -> float:
         """Student-t CI half-width at :attr:`confidence`; ``nan`` if K < 2."""
-        return t_half_width(len(self.samples), self.variance, self.confidence)
+        if self.count < 2:
+            return float("nan")
+        return student_t_quantile(self.confidence, self.count - 1) * self.standard_error
 
     @property
     def relative_half_width(self) -> float:
         """Half-width over |mean| — the precision the stopping rule targets."""
-        mean = self.mean
-        if mean == 0.0:
+        if self.mean == 0.0:
             return float("inf")
-        return self.half_width / abs(mean)
+        return self.half_width / abs(self.mean)
 
     def confidence_interval(self) -> Tuple[float, float]:
         """``(lower, upper)`` of the two-sided CI at :attr:`confidence`."""
         half = self.half_width
-        mean = self.mean
-        return (mean - half, mean + half)
+        return (self.mean - half, self.mean + half)
 
     def precision_reached(self, target_relative_half_width: float) -> bool:
         """True once the relative half-width is at or below the target.
 
-        This is the classical *relative-precision sequential stopping rule*:
-        keep adding replications until ``half_width / |mean| <= target``.
-        Returns ``False`` while fewer than two replications exist (no
-        variance estimate yet).
+        ``False`` while fewer than two replications exist (no variance
+        estimate yet).
         """
         check_positive("target_relative_half_width", target_relative_half_width)
         relative = self.relative_half_width
         return relative == relative and relative <= target_relative_half_width
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Flat summary (count, mean, variance, CI, extremes) for export."""
+        return {
+            "n": self.count,
+            "mean": self.mean,
+            "variance": self.variance,
+            "std": self.std,
+            "half_width": self.half_width,
+            "min": self.minimum if self.count else float("nan"),
+            "max": self.maximum if self.count else float("nan"),
+        }
+
+    def __repr__(self) -> str:
+        return f"ReplicationStatistics(n={self.count}, mean={self.mean:.6g})"
+
     def __str__(self) -> str:
-        if len(self.samples) < 2:
-            return f"{self.mean:.6g} (1 replication, no CI)"
+        if self.count < 2:
+            return f"{self.mean:.6g} ({self.count} replication, no CI)"
         return (
             f"{self.mean:.6g} ± {self.half_width:.3g} "
-            f"({self.confidence:.0%} CI, {self.n} replications)"
+            f"({self.confidence:.0%} CI, {self.count} replications)"
         )
 
 
-def summarize(samples: Sequence[float], confidence: float = 0.95) -> ReplicationStatistics:
+def summarize(samples: Iterable[float], confidence: float = 0.95) -> ReplicationStatistics:
     """Shorthand for :meth:`ReplicationStatistics.from_samples`."""
     return ReplicationStatistics.from_samples(samples, confidence=confidence)
+
+
+def next_batch(
+    statistics: ReplicationStatistics,
+    allocated: int,
+    target: Optional[float],
+    max_replications: int,
+    batch_size: int,
+) -> Tuple[bool, int]:
+    """The adaptive stopping rule: stop a run, or extend it by one batch.
+
+    This is the classical *relative-precision sequential stopping rule*:
+    keep adding replications until ``half_width / |mean| <= target``, in
+    fixed-size batches (so the trajectory does not depend on the machine's
+    core count) and never past a hard cap.  Ensembles apply it to their
+    whole run, campaigns to each grid point.
+
+    Parameters
+    ----------
+    statistics : ReplicationStatistics
+        The fold of every replication allocated so far.
+    allocated : int
+        Replications allocated so far.
+    target : float or None
+        Relative half-width target; ``None`` stops at the initial batch.
+    max_replications : int
+        Hard cap on allocated replications.
+    batch_size : int
+        Replications per extension.
+
+    Returns
+    -------
+    (converged, count) : (bool, int)
+        ``count`` replications to add; ``0`` stops.  A stop is ``converged``
+        when there is no target or the target is met, not when the cap is.
+    """
+    if target is None or statistics.precision_reached(target):
+        return True, 0
+    if allocated >= max_replications:
+        return False, 0
+    return False, min(batch_size, max_replications - allocated)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+
+from repro.ensemble.stats import student_t_quantile
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def batch_means_confidence_interval(
     batch_means = batches.mean(axis=1)
     grand_mean = float(batch_means.mean())
     if num_batches > 1 and batch_means.std(ddof=1) > 0:
-        t_quantile = stats.t.ppf(0.5 + confidence_level / 2.0, df=num_batches - 1)
+        t_quantile = student_t_quantile(confidence_level, num_batches - 1)
         half_width = float(t_quantile * batch_means.std(ddof=1) / math.sqrt(num_batches))
     else:
         half_width = 0.0

@@ -24,7 +24,8 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.campaigns.manifest import CampaignManifest
-from repro.ensemble.grid import GridConfig, point_digest
+from repro.ensemble.grid import GridConfig, point_digest, point_seed, run_grid
+from repro.ensemble.runner import run_ensemble
 from repro.faults import FaultPlan, FaultSpec, clear, install
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -218,9 +219,10 @@ class TestAdaptiveAllocation:
 
     def test_campaign_memory_is_o_points_not_o_jobs(self, tmp_path):
         """Per-point scheduler state must not grow with the replication
-        count: streaming moments instead of sample lists, an empty
+        count: streaming folds instead of sample lists, an empty
         out-of-order buffer once folded, slots everywhere."""
-        from repro.campaigns.accumulators import PointAccumulator, StreamingMoments
+        from repro.campaigns.accumulators import PointAccumulator
+        from repro.ensemble.stats import ReplicationStatistics
 
         result = run_campaign(
             grid=small_grid(utilizations=(0.8,), num_events=500, replications=32),
@@ -234,7 +236,44 @@ class TestAdaptiveAllocation:
         assert accumulator.buffered == 0  # nothing retained per record
         assert not hasattr(accumulator, "__dict__")
         assert not hasattr(accumulator.statistics("mean_delay"), "__dict__")
-        assert not hasattr(StreamingMoments(), "samples")
+        assert not hasattr(ReplicationStatistics(), "samples")
+
+
+class TestOneFold:
+    """Campaigns, grids and ensembles share one fold and one stopping rule,
+    so the same point gives the same numbers through each of them."""
+
+    def test_campaign_and_run_grid_agree_bitwise(self, tmp_path):
+        grid = small_grid(utilizations=(0.9,), replications=4)
+        campaign = run_campaign(grid=grid, directory=tmp_path / "camp")
+        (row,) = campaign.records()
+        (grid_row,) = run_grid(grid).records()
+        assert row["mean_delay"] == grid_row["mean_delay"]
+        assert row["delay_half_width"] == grid_row["delay_half_width"]
+
+    def test_adaptive_campaign_and_ensemble_stop_together(self, tmp_path):
+        grid = small_grid(utilizations=(0.95,), num_events=1500, replications=3, seed=11)
+        (point,) = grid.points()
+        seed = point_seed(grid.seed, point["labels"])
+        campaign = run_campaign(
+            grid=grid,
+            directory=tmp_path / "camp",
+            target_relative_half_width=0.10,
+            max_replications=24,
+        )
+        ensemble = run_ensemble(
+            spec=point["spec"].with_seed(seed),
+            backend="fleet",
+            replications=grid.replications,
+            seed=seed,
+            target_relative_half_width=0.10,
+            max_replications=24,
+        )
+        (result,) = campaign.points
+        assert result.converged
+        assert result.replications > grid.replications  # the rule extended it
+        assert result.replications == ensemble.replications
+        assert result.metrics["mean_delay"]["mean"] == ensemble.delay.mean
 
 
 class TestCampaignCli:

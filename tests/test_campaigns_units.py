@@ -1,84 +1,92 @@
 """Unit tests for the campaign building blocks.
 
-Streaming accumulators against the batch statistics, the durable task
-queue's transition/replay/reclaim machinery, and the torn-line hardening of
-the JSONL layer.
+The Welford fold and the ordered accumulators against stdlib references,
+the durable task queue's transition/replay/reclaim machinery, and the
+torn-line hardening of the JSONL layer.
 """
 
 import json
 import math
+import statistics
 import warnings
 
 import pytest
 
-from repro.campaigns.accumulators import PointAccumulator, StreamingMoments
+from repro.campaigns.accumulators import PointAccumulator
 from repro.campaigns.queue import QueueError, TaskQueue
 from repro.ensemble.results import iter_jsonl, read_jsonl, repair_jsonl
-from repro.ensemble.stats import summarize
+from repro.ensemble.stats import ReplicationStatistics, student_t_quantile
 
 
 # --------------------------------------------------------------------- #
-# Streaming moments vs the batch path
+# The Welford fold vs stdlib references
 # --------------------------------------------------------------------- #
-class TestStreamingMoments:
-    def test_matches_batch_statistics_to_1e12(self):
-        # Simulation-scale values (delays are O(1)..O(100)): streaming and
-        # batch must agree far below any tolerance an assertion would use.
+def reference_half_width(samples, confidence=0.95):
+    """Student-t half-width from the stdlib's exactly-rounded variance."""
+    return (
+        student_t_quantile(confidence, len(samples) - 1)
+        * math.sqrt(statistics.variance(samples))
+        / math.sqrt(len(samples))
+    )
+
+
+class TestWelfordFold:
+    def test_matches_stdlib_statistics_to_1e12(self):
+        # Simulation-scale values (delays are O(1)..O(100)): the fold must
+        # agree with the stdlib far below any tolerance an assertion would use.
         samples = [2.0 + math.sin(i) * 0.3 + i * 0.01 for i in range(257)]
-        moments = StreamingMoments()
+        fold = ReplicationStatistics(confidence=0.99)
         for value in samples:
-            moments.add(value)
-        batch = summarize(samples, confidence=0.99)
-        assert moments.count == len(samples)
-        assert moments.mean == pytest.approx(batch.mean, rel=1e-12)
-        assert moments.variance == pytest.approx(batch.variance, rel=1e-12)
-        assert moments.std == pytest.approx(batch.std, rel=1e-12)
-        assert moments.half_width(0.99) == pytest.approx(batch.half_width, rel=1e-12)
-        assert moments.minimum == min(samples)
-        assert moments.maximum == max(samples)
+            fold.add(value)
+        assert fold.count == len(samples)
+        assert fold.mean == pytest.approx(statistics.fmean(samples), rel=1e-12)
+        assert fold.variance == pytest.approx(statistics.variance(samples), rel=1e-12)
+        assert fold.std == pytest.approx(statistics.stdev(samples), rel=1e-12)
+        assert fold.half_width == pytest.approx(reference_half_width(samples, 0.99), rel=1e-12)
+        assert fold.minimum == min(samples)
+        assert fold.maximum == max(samples)
 
     def test_no_catastrophic_cancellation(self):
         # Large offset + small spread is where a naive sum-of-squares
         # accumulator loses most of its digits; Welford keeps them close to
-        # the (accurate) two-pass batch formula even here.
+        # the (accurate) two-pass formula even here.
         samples = [1e6 + math.sin(i) * 1e-3 + i * 0.1 for i in range(257)]
-        moments = StreamingMoments()
+        fold = ReplicationStatistics()
         for value in samples:
-            moments.add(value)
-        batch = summarize(samples)
-        assert moments.variance == pytest.approx(batch.variance, rel=1e-9)
+            fold.add(value)
+        mean = math.fsum(samples) / len(samples)
+        two_pass = math.fsum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
+        assert fold.variance == pytest.approx(two_pass, rel=1e-9)
         naive = (
-            math.fsum(x * x for x in samples) - len(samples) * batch.mean**2
+            math.fsum(x * x for x in samples) - len(samples) * mean**2
         ) / (len(samples) - 1)
         # Welford is no worse than the naive accumulator on this sample.
-        assert abs(moments.variance - batch.variance) <= abs(naive - batch.variance) + 1e-12
+        assert abs(fold.variance - two_pass) <= abs(naive - two_pass) + 1e-12
 
     def test_degenerate_counts(self):
-        moments = StreamingMoments()
-        assert math.isnan(moments.variance)
-        assert math.isnan(moments.standard_error)
-        moments.add(4.0)
-        assert moments.mean == 4.0
-        assert math.isnan(moments.variance)  # ddof=1 needs two observations
-        assert math.isnan(moments.half_width(0.95))
-        assert not moments.precision_reached(0.5)
+        fold = ReplicationStatistics()
+        assert math.isnan(fold.variance)
+        assert math.isnan(fold.standard_error)
+        fold.add(4.0)
+        assert fold.mean == 4.0
+        assert math.isnan(fold.variance)  # ddof=1 needs two observations
+        assert math.isnan(fold.half_width)
+        assert not fold.precision_reached(0.5)
 
-    def test_precision_rule_matches_batch(self):
+    def test_precision_rule_matches_reference(self):
         samples = [2.0, 2.1, 1.9, 2.05, 1.95, 2.02]
-        moments = StreamingMoments()
-        for value in samples:
-            moments.add(value)
-        batch = summarize(samples, confidence=0.95)
+        fold = ReplicationStatistics.from_samples(samples, confidence=0.95)
+        relative = reference_half_width(samples) / statistics.fmean(samples)
         for target in (0.5, 0.05, 0.01, 0.001):
-            assert moments.precision_reached(target, 0.95) == batch.precision_reached(target)
+            assert fold.precision_reached(target) == (relative <= target)
 
     def test_constant_memory_slots(self):
-        moments = StreamingMoments()
+        fold = ReplicationStatistics()
         for i in range(50_000):
-            moments.add(float(i))
+            fold.add(float(i))
         # __slots__ means no __dict__ — nothing can grow with the sample count.
-        assert not hasattr(moments, "__dict__")
-        assert moments.count == 50_000
+        assert not hasattr(fold, "__dict__")
+        assert fold.count == 50_000
 
 
 class TestPointAccumulator:
@@ -127,10 +135,10 @@ class TestPointAccumulator:
         accumulator = PointAccumulator(confidence=0.95)
         for record in self.RECORDS:
             accumulator.add(record["replication"], record)
-        batch = summarize([r["mean_delay"] for r in self.RECORDS], confidence=0.95)
-        mean, half_width = accumulator.mean_and_half_width("mean_delay")
-        assert mean == pytest.approx(batch.mean, rel=1e-12)
-        assert half_width == pytest.approx(batch.half_width, rel=1e-12)
+        samples = [r["mean_delay"] for r in self.RECORDS]
+        fold = accumulator.statistics("mean_delay")
+        assert fold.mean == pytest.approx(statistics.fmean(samples), rel=1e-12)
+        assert fold.half_width == pytest.approx(reference_half_width(samples), rel=1e-12)
 
 
 # --------------------------------------------------------------------- #

@@ -121,7 +121,6 @@ class TestAdaptiveStopping:
             seed=8,
             target_relative_half_width=1e-9,  # unreachable
             max_replications=6,
-            batch_size=2,
         )
         assert result.replications == 6
 
@@ -133,7 +132,6 @@ class TestAdaptiveStopping:
             seed=9,
             target_relative_half_width=1e-9,
             max_replications=6,
-            batch_size=2,
         )
         assert adaptive.replications == 6
         # The first two replications are bitwise those of the fixed run.

@@ -6,6 +6,7 @@ import pytest
 
 from repro.ensemble.stats import (
     ReplicationStatistics,
+    next_batch,
     student_t_cdf,
     student_t_quantile,
     summarize,
@@ -91,9 +92,11 @@ class TestReplicationStatistics:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ReplicationStatistics(samples=())
+            ReplicationStatistics.from_samples(())
         with pytest.raises(ValidationError):
-            ReplicationStatistics(samples=(1.0, 2.0), confidence=1.5)
+            ReplicationStatistics(confidence=1.5)
+        with pytest.raises(ValidationError):
+            ReplicationStatistics.from_samples((1.0, 2.0), confidence=1.5)
         with pytest.raises(ValidationError):
             summarize([1.0, 2.0]).precision_reached(-0.1)
 
@@ -102,3 +105,16 @@ class TestReplicationStatistics:
         wide = ReplicationStatistics.from_samples(samples, confidence=0.99)
         narrow = ReplicationStatistics.from_samples(samples, confidence=0.90)
         assert wide.half_width > narrow.half_width
+
+
+class TestNextBatch:
+    def test_stop_extend_and_cap(self):
+        tight = summarize([10.0, 10.01, 9.99, 10.0])
+        loose = summarize([10.0, 20.0, 5.0, 15.0])
+        # No target, or the target met: stop, converged.
+        assert next_batch(loose, 4, None, 64, 4) == (True, 0)
+        assert next_batch(tight, 4, 0.01, 64, 4) == (True, 0)
+        # Target missed: one batch, clipped to the cap; at the cap, stop unconverged.
+        assert next_batch(loose, 4, 0.01, 64, 4) == (False, 4)
+        assert next_batch(loose, 62, 0.01, 64, 4) == (False, 2)
+        assert next_batch(loose, 64, 0.01, 64, 4) == (False, 0)

@@ -24,6 +24,7 @@ import pytest
 
 from repro import ExperimentSpec, run
 from repro.api.backends import get_backend
+from repro.api.serialize import jsonable
 from repro.campaigns import (
     campaign_fingerprint,
     campaign_status,
@@ -249,6 +250,17 @@ class TestQuarantine:
         assert status.complete and status.status == "degraded"
         assert status.counts["quarantined"] == 1
         assert status.quarantined == result.quarantined
+
+        # The fingerprint folds past the quarantined hole exactly like the
+        # status does, instead of stalling at it.
+        fingerprint = campaign_fingerprint(directory)["points"]
+        assert {
+            digest: (point["replications"], point["metrics"])
+            for digest, point in fingerprint.items()
+        } == {
+            point.digest: (point.replications, jsonable(point.metrics))
+            for point in status.points
+        }
 
         # Resuming a degraded campaign is a no-op that stays degraded —
         # quarantine is a durable verdict, not a transient state.

@@ -43,6 +43,23 @@ class TestBatchMeans:
         low, high = summary.interval
         assert low <= summary.mean <= high
 
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("num_batches", [2, 4, 20])
+    def test_interval_matches_scipy_t_quantile(self, confidence, num_batches):
+        # scipy stays the test-time reference for the package's own quantile.
+        stats = pytest.importorskip("scipy.stats")
+        samples = np.random.default_rng(3).normal(5.0, 1.0, size=400)
+        summary = batch_means_confidence_interval(
+            samples, num_batches=num_batches, confidence_level=confidence
+        )
+        batch_means = samples.reshape(num_batches, -1).mean(axis=1)
+        expected = (
+            stats.t.ppf(0.5 + confidence / 2.0, df=num_batches - 1)
+            * batch_means.std(ddof=1)
+            / math.sqrt(num_batches)
+        )
+        assert summary.half_width == pytest.approx(expected, rel=1e-9)
+
 
 class TestWaitingTimeAccumulator:
     def test_warmup_jobs_are_discarded(self):
